@@ -10,6 +10,13 @@
 //! Rendering and parsing are exact inverses for every well-formed event;
 //! the parser additionally tolerates (and counts) malformed lines, since
 //! real console streams interleave GPU events with unrelated chatter.
+//!
+//! [`write_line`] appends a line, and [`write_log`] a whole log, to any
+//! infallible `fmt::Write` sink without allocating; [`rendered_len`] is a
+//! line's exact length, which sizes the [`render_line`] and
+//! [`render_log`] buffers exactly.
+
+use std::fmt::Write;
 
 use bytes::BytesMut;
 use titan_gpu::{GpuErrorKind, MemoryStructure, Xid};
@@ -29,42 +36,64 @@ pub struct ParseStats {
 
 /// Renders one event as a console-log line (no trailing newline).
 pub fn render_line(ev: &ConsoleEvent) -> String {
-    let cal = StudyCalendar;
-    let mut s = String::with_capacity(96);
-    s.push('[');
-    s.push_str(&cal.format_timestamp(ev.time));
-    s.push_str("] ");
-    s.push_str(&ev.node.location().cname());
-    s.push(' ');
+    let mut s = String::with_capacity(rendered_len(ev));
+    write_line(&mut s, ev);
+    s
+}
+
+/// Appends the [`render_line`] text of `ev` to `out` (no trailing
+/// newline). Every field is written straight into `out`, so rendering
+/// into a `String` or a hasher allocates nothing. `out` must be an
+/// infallible sink; its errors are ignored.
+pub fn write_line<W: Write + ?Sized>(out: &mut W, ev: &ConsoleEvent) {
+    let _ = write!(out, "[");
+    StudyCalendar.write_timestamp(out, ev.time);
+    let _ = write!(out, "] {} ", ev.node.location());
     match ev.kind.xid() {
         Some(x) => {
-            s.push_str("GPU Xid ");
-            s.push_str(&x.to_string());
-            s.push_str(": ");
-            s.push_str(ev.kind.description());
+            let _ = write!(out, "GPU Xid {x}: {}", ev.kind.description());
         }
         None => match ev.kind {
-            GpuErrorKind::OffTheBus => s.push_str("GPU has fallen off the bus"),
+            GpuErrorKind::OffTheBus => {
+                let _ = write!(out, "GPU has fallen off the bus");
+            }
             // SBEs never appear in console logs; render defensively anyway.
-            _ => s.push_str(ev.kind.description()),
+            _ => {
+                let _ = write!(out, "{}", ev.kind.description());
+            }
         },
     }
     if let Some(st) = ev.structure {
-        s.push_str(" struct=\"");
-        s.push_str(st.label());
-        s.push('"');
+        let _ = write!(out, " struct=\"{}\"", st.label());
     }
     if let Some(p) = ev.page {
-        s.push_str(&format!(" page=0x{p:08x}"));
+        let _ = write!(out, " page=0x{p:08x}");
     }
     if let Some(a) = ev.apid {
-        s.push_str(&format!(" apid={a}"));
+        let _ = write!(out, " apid={a}");
     }
+}
+
+/// Appends a whole console log to `out`, one newline-terminated line per
+/// event.
+pub fn write_log<W: Write + ?Sized>(out: &mut W, events: &[ConsoleEvent]) {
+    for ev in events {
+        write_line(out, ev);
+        let _ = writeln!(out);
+    }
+}
+
+/// Renders a whole console log into a buffer sized exactly from
+/// [`rendered_len`].
+pub fn render_log(events: &[ConsoleEvent]) -> String {
+    let len = events.iter().map(|ev| rendered_len(ev) + 1).sum();
+    let mut s = String::with_capacity(len);
+    write_log(&mut s, events);
     s
 }
 
 /// Decimal digit count of `v` (1 for zero).
-fn digits(mut v: u64) -> usize {
+pub(crate) fn digits(mut v: u64) -> usize {
     let mut n = 1;
     while v >= 10 {
         v /= 10;
@@ -115,14 +144,10 @@ pub fn rendered_len(ev: &ConsoleEvent) -> usize {
     n
 }
 
-/// Renders a batch of events into a newline-delimited buffer.
+/// [`render_log`] as a byte buffer (takes over the `String`'s
+/// allocation; nothing is copied).
 pub fn render_stream(events: &[ConsoleEvent]) -> BytesMut {
-    let mut buf = BytesMut::with_capacity(events.len() * 96);
-    for ev in events {
-        buf.extend_from_slice(render_line(ev).as_bytes());
-        buf.extend_from_slice(b"\n");
-    }
-    buf
+    BytesMut::from(render_log(events).into_bytes())
 }
 
 /// Parses one console-log line. `None` for anything that is not a
@@ -161,7 +186,7 @@ pub fn parse_line(line: &str) -> Option<ConsoleEvent> {
     let mut structure = None;
     let mut page = None;
     let mut apid = None;
-    for (key, value) in attrs(after) {
+    for (key, value) in Attrs(after) {
         match key {
             "struct" => structure = MemoryStructure::from_label(value),
             "page" => {
@@ -194,35 +219,40 @@ fn attr_tail(body: &str) -> &str {
     ""
 }
 
-/// Iterates `key=value` pairs; values may be double-quoted to contain
-/// spaces.
-fn attrs(mut s: &str) -> Vec<(&str, &str)> {
-    let mut out = Vec::new();
-    loop {
-        s = s.trim_start();
-        let Some(eq) = s.find('=') else { break };
-        let key = &s[..eq];
-        let rest = &s[eq + 1..];
-        let (value, next) = if let Some(r) = rest.strip_prefix('"') {
-            match r.find('"') {
-                Some(q) => (&r[..q], &r[q + 1..]),
-                None => break,
-            }
-        } else {
-            match rest.find(' ') {
-                Some(sp) => (&rest[..sp], &rest[sp..]),
-                None => (rest, ""),
-            }
+/// Iterates `key=value` pairs in place; values may be double-quoted to
+/// contain spaces. Ends at the first malformed pair (no `=`, or an
+/// unterminated quote).
+struct Attrs<'a>(&'a str);
+
+impl<'a> Iterator for Attrs<'a> {
+    type Item = (&'a str, &'a str);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (key, rest) = self.0.trim_start().split_once('=')?;
+        let (value, next) = match rest.strip_prefix('"') {
+            Some(quoted) => quoted.split_once('"')?,
+            None => rest.split_once(' ').unwrap_or((rest, "")),
         };
-        out.push((key, value));
-        s = next;
+        self.0 = next;
+        Some((key, value))
     }
-    out
 }
 
+/// Byte length of the shortest line [`parse_line`] can accept: a
+/// timestamp, the shortest cname and a one-digit Xid with no
+/// description.
+const MIN_EVENT_LINE_LEN: usize = "[2013-06-01 00:00:00] c0-0c0s0n0 GPU Xid 0:".len();
+
 /// Parses a whole log stream, collecting events and counting skips.
+///
+/// Each line yields at most one event and an event line is at least
+/// [`MIN_EVENT_LINE_LEN`] bytes, so the event buffer is sized up front
+/// from the smaller of those two bounds: a rendered log never regrows
+/// it, and input of blank lines or short chatter reserves no more than
+/// its own length.
 pub fn parse_stream(text: &str) -> (Vec<ConsoleEvent>, ParseStats) {
-    let mut events = Vec::new();
+    let max_events = text.lines().count().min(text.len() / MIN_EVENT_LINE_LEN);
+    let mut events = Vec::with_capacity(max_events);
     let mut stats = ParseStats::default();
     for line in text.lines() {
         if line.trim().is_empty() {
@@ -253,6 +283,23 @@ mod tests {
             page: Some(0x1a2b3),
             apid: Some(1_048_576),
         }
+    }
+
+    /// A stream of newlines holds no event; it must not reserve one
+    /// `ConsoleEvent` per line.
+    #[test]
+    fn parse_stream_does_not_reserve_per_blank_line() {
+        let text = "\n".repeat(100_000);
+        let (events, stats) = parse_stream(&text);
+        assert!(events.is_empty());
+        assert_eq!((stats.parsed, stats.skipped), (0, 0));
+        let reserved = events.capacity() * std::mem::size_of::<ConsoleEvent>();
+        assert!(reserved <= text.len(), "{reserved} B reserved for {} B", text.len());
+        // The bound may not exceed the shortest line `parse_line` accepts
+        // (every Xid in use has two digits).
+        let shortest = "[2013-06-01 00:00:00] c0-0c0s0n0 GPU Xid 13:";
+        assert!(parse_line(shortest).is_some());
+        assert!(MIN_EVENT_LINE_LEN <= shortest.len());
     }
 
     #[test]

@@ -6,10 +6,20 @@
 //! core-hours, and maximum/total GPU memory consumption. Node allocations
 //! are rendered as compact id ranges (`17-40,96,112-143`) because Titan
 //! jobs routinely span thousands of nodes.
+//!
+//! [`JobRecord::write_to`] and [`Aprun::write_to`] append one line to any
+//! infallible `fmt::Write` sink; [`write_job_log`] and [`write_aprun_log`]
+//! append a whole log. The `render*` functions size their `String` from
+//! the exact line lengths first, so every buffer they return has
+//! `capacity() == len()`. [`expand_ranges`] refuses any id at or past
+//! `TOTAL_SLOTS` while counting, before it allocates.
+
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use titan_topology::NodeId;
+use titan_topology::{NodeId, TOTAL_SLOTS};
 
+use crate::format::digits;
 use crate::time::SimTime;
 
 /// One completed batch job.
@@ -52,8 +62,33 @@ impl JobRecord {
 
     /// Renders one job-log line.
     pub fn render(&self) -> String {
-        format!(
-            "JOB apid={} user={} start={} end={} gpu_core_hours={:.4} max_mem={} total_mem_bh={:.4} nodes={}",
+        let mut s = String::with_capacity(self.rendered_len());
+        self.write_to(&mut s);
+        s
+    }
+
+    /// Appends the [`render`](Self::render) text to `out` (no trailing
+    /// newline) without allocating. Node ids are written as ascending,
+    /// de-duplicated ranges whatever their order in `nodes`.
+    pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) {
+        self.write_head(out);
+        write_ranges(out, &self.nodes);
+    }
+
+    /// Exact byte length of [`render`](Self::render): the fields before
+    /// the node ranges are counted through a byte-counting sink (so `{:.4}`
+    /// rounding is exact), the ranges from their digit counts.
+    pub fn rendered_len(&self) -> usize {
+        let mut head = ByteCount(0);
+        self.write_head(&mut head);
+        head.0 + ranges_len(&self.nodes)
+    }
+
+    /// Everything before the node ranges.
+    fn write_head<W: fmt::Write + ?Sized>(&self, out: &mut W) {
+        let _ = write!(
+            out,
+            "JOB apid={} user={} start={} end={} gpu_core_hours={:.4} max_mem={} total_mem_bh={:.4} nodes=",
             self.apid,
             self.user,
             self.start,
@@ -61,8 +96,7 @@ impl JobRecord {
             self.gpu_core_hours,
             self.max_memory_bytes,
             self.total_memory_byte_hours,
-            compress_ranges(&self.nodes),
-        )
+        );
     }
 
     /// Parses a [`render`](Self::render)ed line.
@@ -132,10 +166,26 @@ impl Aprun {
 
     /// Renders one aprun log line (the ALPS log format stand-in).
     pub fn render(&self) -> String {
-        format!(
+        let mut s = String::with_capacity(self.rendered_len());
+        self.write_to(&mut s);
+        s
+    }
+
+    /// Appends the [`render`](Self::render) text to `out` (no trailing
+    /// newline) without allocating.
+    pub fn write_to<W: fmt::Write + ?Sized>(&self, out: &mut W) {
+        let _ = write!(
+            out,
             "APRUN apid={} idx={} start={} end={}",
             self.apid, self.index, self.start, self.end
-        )
+        );
+    }
+
+    /// Exact byte length of [`render`](Self::render).
+    fn rendered_len(&self) -> usize {
+        let mut len = ByteCount(0);
+        self.write_to(&mut len);
+        len.0
     }
 
     /// Parses a [`render`](Self::render)ed aprun line.
@@ -185,55 +235,196 @@ impl std::fmt::Display for JobLogError {
 
 impl std::error::Error for JobLogError {}
 
-/// Compresses sorted-or-not node ids to `a-b,c,d-e` ranges.
-pub fn compress_ranges(nodes: &[NodeId]) -> String {
+/// Writes node ids as ascending, de-duplicated `a-b,c,d-e` ranges (`-`
+/// when there are none).
+fn write_ranges<W: fmt::Write + ?Sized>(out: &mut W, nodes: &[NodeId]) {
     if nodes.is_empty() {
-        return "-".to_string();
+        let _ = write!(out, "-");
+        return;
     }
-    let mut ids: Vec<u32> = nodes.iter().map(|n| n.0).collect();
-    ids.sort_unstable();
-    ids.dedup();
-    let mut out = String::new();
-    let mut i = 0;
-    while i < ids.len() {
-        let start = ids[i];
-        let mut endv = start;
-        while i + 1 < ids.len() && ids[i + 1] == endv + 1 {
-            i += 1;
-            endv = ids[i];
-        }
-        if !out.is_empty() {
-            out.push(',');
-        }
-        if start == endv {
-            out.push_str(&start.to_string());
+    let mut sep = "";
+    runs(SlotSet::of(nodes).ids(), |first, last| {
+        if first == last {
+            let _ = write!(out, "{sep}{first}");
         } else {
-            out.push_str(&format!("{start}-{endv}"));
+            let _ = write!(out, "{sep}{first}-{last}");
         }
-        i += 1;
-    }
-    out
+        sep = ",";
+    });
 }
 
-/// Inverse of [`compress_ranges`].
+/// Exact byte length of [`write_ranges`]'s text, from digit counts.
+fn ranges_len(nodes: &[NodeId]) -> usize {
+    if nodes.is_empty() {
+        return 1;
+    }
+    // Counts a separator before every range; the first has none.
+    let mut n = 0;
+    runs(SlotSet::of(nodes).ids(), |first, last| {
+        n += 1 + digits(u64::from(first));
+        if first != last {
+            n += 1 + digits(u64::from(last));
+        }
+    });
+    n.saturating_sub(1)
+}
+
+/// Calls `f(first, last)` for each maximal run of consecutive ids in a
+/// strictly ascending id stream.
+fn runs(mut ids: impl Iterator<Item = u32>, mut f: impl FnMut(u32, u32)) {
+    let Some(mut first) = ids.next() else { return };
+    let mut last = first;
+    for id in ids {
+        if last + 1 != id {
+            f(first, last);
+            first = id;
+        }
+        last = id;
+    }
+    f(first, last);
+}
+
+/// Bitmap words covering every machine slot.
+const SLOT_WORDS: usize = TOTAL_SLOTS.div_ceil(64);
+
+/// A job's node ids as one bit per machine slot: setting the bits orders
+/// and de-duplicates the ids in one pass, without a sorted copy.
+struct SlotSet([u64; SLOT_WORDS]);
+
+impl SlotSet {
+    fn of(nodes: &[NodeId]) -> SlotSet {
+        let mut words = [0u64; SLOT_WORDS];
+        for n in nodes {
+            // An id past the machine is a caller bug, as in
+            // `NodeId::location`; release builds leave it out.
+            debug_assert!(
+                usize::try_from(n.0).is_ok_and(|id| id < TOTAL_SLOTS),
+                "node id {} is past the machine's {TOTAL_SLOTS} slots",
+                n.0
+            );
+            let word = usize::try_from(n.0 / 64).ok().and_then(|i| words.get_mut(i));
+            if let Some(w) = word {
+                *w |= 1u64 << (n.0 % 64);
+            }
+        }
+        SlotSet(words)
+    }
+
+    /// The ids in the set, ascending.
+    fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0
+            .iter()
+            .zip((0u32..).step_by(64))
+            .flat_map(|(&word, base)| {
+                let mut bits = word;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let bit = bits.trailing_zeros();
+                        bits &= bits - 1;
+                        base + bit
+                    })
+                })
+            })
+    }
+}
+
+/// A `fmt::Write` sink that only counts bytes.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// Appends a whole job log to `out`, one newline-terminated line per job.
+pub fn write_job_log<W: fmt::Write + ?Sized>(out: &mut W, jobs: &[JobRecord]) {
+    for j in jobs {
+        j.write_to(out);
+        let _ = writeln!(out);
+    }
+}
+
+/// Renders a whole job log into an exactly sized buffer.
+pub fn render_job_log(jobs: &[JobRecord]) -> String {
+    let len = jobs.iter().map(|j| j.rendered_len() + 1).sum();
+    let mut s = String::with_capacity(len);
+    write_job_log(&mut s, jobs);
+    s
+}
+
+/// Appends a whole aprun log to `out`, one newline-terminated line per
+/// segment.
+pub fn write_aprun_log<W: fmt::Write + ?Sized>(out: &mut W, apruns: &[Aprun]) {
+    for a in apruns {
+        a.write_to(out);
+        let _ = writeln!(out);
+    }
+}
+
+/// Renders a whole aprun log into an exactly sized buffer.
+pub fn render_aprun_log(apruns: &[Aprun]) -> String {
+    let len = apruns.iter().map(|a| a.rendered_len() + 1).sum();
+    let mut s = String::with_capacity(len);
+    write_aprun_log(&mut s, apruns);
+    s
+}
+
+/// Compresses sorted-or-not node ids to `a-b,c,d-e` ranges.
+pub fn compress_ranges(nodes: &[NodeId]) -> String {
+    let mut s = String::with_capacity(ranges_len(nodes));
+    write_ranges(&mut s, nodes);
+    s
+}
+
+/// Calls `f(first, last)` for each comma-separated part of a node list,
+/// read as an inclusive id range (`a-b`, or `a` for `a-a`), in one scan
+/// of the bytes. Stops with `None` at a malformed part, at a part that
+/// is not `first <= last < TOTAL_SLOTS`, or when `f` returns `None`.
+fn for_each_range(s: &str, mut f: impl FnMut(u32, u32) -> Option<()>) -> Option<()> {
+    let mut first = None;
+    let mut cur: Option<u32> = None;
+    for b in s.bytes().chain(std::iter::once(b',')) {
+        match b {
+            b'0'..=b'9' => {
+                let digit = u32::from(b - b'0');
+                cur = Some(cur.unwrap_or(0).checked_mul(10)?.checked_add(digit)?);
+            }
+            b'-' if first.is_none() => first = Some(cur.take()?),
+            b',' => {
+                let last = cur.take()?;
+                let first = first.take().unwrap_or(last);
+                if first > last || usize::try_from(last).ok()? >= TOTAL_SLOTS {
+                    return None;
+                }
+                f(first, last)?;
+            }
+            _ => return None,
+        }
+    }
+    Some(())
+}
+
+/// Inverse of [`compress_ranges`]. A first pass validates every part and
+/// counts the ids, so the result is allocated once at its exact size.
+/// Ids at or past [`TOTAL_SLOTS`], and lists naming more ids in total
+/// than the machine has slots, are rejected before anything is
+/// allocated.
 pub fn expand_ranges(s: &str) -> Option<Vec<NodeId>> {
     if s == "-" {
         return Some(Vec::new());
     }
-    let mut out = Vec::new();
-    for part in s.split(',') {
-        match part.split_once('-') {
-            Some((a, b)) => {
-                let a: u32 = a.parse().ok()?;
-                let b: u32 = b.parse().ok()?;
-                if a > b {
-                    return None;
-                }
-                out.extend((a..=b).map(NodeId));
-            }
-            None => out.push(NodeId(part.parse().ok()?)),
-        }
-    }
+    let mut count = 0usize;
+    for_each_range(s, |first, last| {
+        count += usize::try_from(last - first).ok()? + 1;
+        (count <= TOTAL_SLOTS).then_some(())
+    })?;
+    let mut out = Vec::with_capacity(count);
+    for_each_range(s, |first, last| {
+        out.extend((first..=last).map(NodeId));
+        Some(())
+    })?;
     Some(out)
 }
 
@@ -295,6 +486,81 @@ mod tests {
         assert_eq!(expand_ranges("9-5"), None);
         assert_eq!(expand_ranges("abc"), None);
         assert_eq!(expand_ranges("1,,2"), None);
+    }
+
+    /// Node lists that name slots the machine does not have are refused
+    /// while counting, before anything is allocated: `0-4294967295` used
+    /// to ask for 4.3 billion ids and abort the process.
+    #[test]
+    fn range_expansion_rejects_ids_past_the_machine() {
+        assert_eq!(expand_ranges("0-4294967295"), None);
+        assert_eq!(expand_ranges("19200"), None);
+        assert_eq!(expand_ranges("5-19200"), None);
+        assert_eq!(expand_ranges("19199").map(|v| v.len()), Some(1));
+        assert_eq!(expand_ranges("0-19199").map(|v| v.len()), Some(TOTAL_SLOTS));
+        // Overlapping parts may not add up to more ids than slots either.
+        assert_eq!(expand_ranges("0-19199,0"), None);
+        let mut line = job().render();
+        line.truncate(line.find("nodes=").unwrap());
+        line.push_str("nodes=0-4294967295");
+        let e = JobRecord::parse(&line).unwrap_err();
+        assert_eq!(e.what, "bad nodes");
+    }
+
+    /// The computed job-line length must equal the rendered length,
+    /// including floats whose rounding carries into a new digit and node
+    /// lists that need sorting and de-duplication.
+    #[test]
+    fn rendered_len_matches_render() {
+        let node_lists: [&[u32]; 6] = [
+            &[],
+            &[0],
+            &[5, 6, 7, 100, 200, 201],
+            &[201, 5, 7, 6, 200, 100, 5, 6],
+            &[9, 10, 99, 100, 999, 1000, 9_999, 10_000, 19_199],
+            &[19_199, 0, 19_198, 1],
+        ];
+        for ids in node_lists {
+            for x in [
+                0.0,
+                9.99995,
+                99.99999,
+                -0.00004,
+                -12.5,
+                1.5e12,
+                1e300,
+                f64::NAN,
+                f64::INFINITY,
+            ] {
+                for apid in [0u64, 9, 10, u64::MAX] {
+                    let j = JobRecord {
+                        apid,
+                        nodes: ids.iter().map(|&i| NodeId(i)).collect(),
+                        gpu_core_hours: x,
+                        total_memory_byte_hours: -x,
+                        ..job()
+                    };
+                    let line = j.render();
+                    assert_eq!(j.rendered_len(), line.len(), "{line}");
+                    assert_eq!(line.capacity(), line.len(), "{line}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn aprun_rendered_len_matches_render() {
+        for v in [0u64, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX] {
+            let a = Aprun {
+                apid: v,
+                index: u32::try_from(v).unwrap_or(u32::MAX),
+                start: v / 2,
+                end: v,
+            };
+            let line = a.render();
+            assert_eq!(a.rendered_len(), line.len(), "{line}");
+            assert_eq!(line.capacity(), line.len(), "{line}");
+        }
     }
 
     #[test]

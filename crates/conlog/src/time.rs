@@ -8,6 +8,8 @@
 //! dependency set — the span contains no leap year anyway (2016 is the
 //! next one).
 
+use std::fmt::Write;
+
 use serde::{Deserialize, Serialize};
 
 /// Seconds since the study epoch, 2013-06-01T00:00:00Z.
@@ -167,11 +169,20 @@ impl StudyCalendar {
 
     /// Renders the log timestamp: `2013-06-01 12:34:56`.
     pub fn format_timestamp(&self, t: SimTime) -> String {
+        let mut s = String::with_capacity(19);
+        self.write_timestamp(&mut s, t);
+        s
+    }
+
+    /// Appends the [`format_timestamp`](Self::format_timestamp) text to
+    /// `out` without allocating a `String` of its own.
+    pub fn write_timestamp<W: Write + ?Sized>(&self, out: &mut W, t: SimTime) {
         let c = self.breakdown(t);
-        format!(
+        let _ = write!(
+            out,
             "{:04}-{:02}-{:02} {:02}:{:02}:{:02}",
             c.year, c.month, c.day, c.hour, c.minute, c.second
-        )
+        );
     }
 
     /// Parses a [`format_timestamp`](Self::format_timestamp) string.

@@ -2,8 +2,10 @@
 //! parsers must be total (never panic) on arbitrary input.
 
 use proptest::prelude::*;
-use titan_conlog::format::{parse_line, parse_stream, render_line};
-use titan_conlog::joblog::{compress_ranges, expand_ranges, JobRecord};
+use titan_conlog::format::{parse_line, parse_stream, render_line, render_log, write_line};
+use titan_conlog::joblog::{
+    compress_ranges, expand_ranges, render_aprun_log, render_job_log, Aprun, JobRecord,
+};
 use titan_conlog::time::{StudyCalendar, STUDY_SECONDS};
 use titan_conlog::ConsoleEvent;
 use titan_gpu::{GpuErrorKind, MemoryStructure};
@@ -22,7 +24,143 @@ fn any_structure() -> impl Strategy<Value = Option<MemoryStructure>> {
     prop::option::of(prop::sample::select(MemoryStructure::ALL.to_vec()))
 }
 
+fn any_event() -> impl Strategy<Value = ConsoleEvent> {
+    (
+        (0u64..STUDY_SECONDS, 0u32..19_200),
+        any_kind(),
+        any_structure(),
+        prop::option::of(any::<u32>()),
+        prop::option::of(any::<u64>()),
+    )
+        .prop_map(|((time, node), kind, structure, page, apid)| ConsoleEvent {
+            time,
+            node: NodeId(node),
+            kind,
+            structure,
+            page,
+            apid,
+        })
+}
+
+/// Jobs with node lists in allocation (unsorted, possibly repeated)
+/// order, so the writers' sort path is exercised as well as the
+/// already-ascending one.
+fn any_job() -> impl Strategy<Value = JobRecord> {
+    (
+        (any::<u64>(), any::<u32>()),
+        prop::collection::vec(0u32..19_200, 0..60),
+        (0u64..STUDY_SECONDS, 0u64..86_400),
+        (-1e3f64..1e6, 0.0f64..1e15),
+        any::<u64>(),
+    )
+        .prop_map(
+            |((apid, user), ids, (start, dur), (gch, tmb), max_mem)| JobRecord {
+                apid,
+                user,
+                nodes: ids.into_iter().map(NodeId).collect(),
+                start,
+                end: start + dur,
+                gpu_core_hours: gch,
+                max_memory_bytes: max_mem,
+                total_memory_byte_hours: tmb,
+            },
+        )
+}
+
+fn any_aprun() -> impl Strategy<Value = Aprun> {
+    (
+        any::<u64>(),
+        any::<u32>(),
+        0u64..STUDY_SECONDS,
+        0u64..86_400,
+    )
+        .prop_map(|(apid, index, start, dur)| Aprun {
+            apid,
+            index,
+            start,
+            end: start + dur,
+        })
+}
+
 proptest! {
+    /// The in-place writers append exactly the text of the allocating
+    /// renderers, and leave what the buffer already held untouched.
+    #[test]
+    fn writers_append_exactly_the_rendered_line(
+        prefix in "\\PC{1,20}",
+        ev in any_event(),
+        job in any_job(),
+        aprun in any_aprun(),
+    ) {
+        let mut buf = prefix.clone();
+        write_line(&mut buf, &ev);
+        prop_assert_eq!(buf, format!("{prefix}{}", render_line(&ev)));
+
+        let mut buf = prefix.clone();
+        job.write_to(&mut buf);
+        prop_assert_eq!(buf, format!("{prefix}{}", job.render()));
+
+        let mut buf = prefix.clone();
+        aprun.write_to(&mut buf);
+        prop_assert_eq!(buf, format!("{prefix}{}", aprun.render()));
+    }
+
+    /// Whole-log renders and node-range expansion allocate their exact
+    /// size up front: no slack and no regrowth.
+    #[test]
+    fn whole_log_buffers_are_exact_size(
+        events in prop::collection::vec(any_event(), 0..20),
+        jobs in prop::collection::vec(any_job(), 0..10),
+        apruns in prop::collection::vec(any_aprun(), 0..20),
+    ) {
+        let console = render_log(&events);
+        prop_assert_eq!(console.capacity(), console.len());
+        let lines: String = events.iter().map(|e| render_line(e) + "\n").collect();
+        prop_assert_eq!(console, lines);
+
+        let job_log = render_job_log(&jobs);
+        prop_assert_eq!(job_log.capacity(), job_log.len());
+        let lines: String = jobs.iter().map(|j| j.render() + "\n").collect();
+        prop_assert_eq!(job_log, lines);
+
+        let aprun_log = render_aprun_log(&apruns);
+        prop_assert_eq!(aprun_log.capacity(), aprun_log.len());
+        let lines: String = apruns.iter().map(|a| a.render() + "\n").collect();
+        prop_assert_eq!(aprun_log, lines);
+
+        for j in &jobs {
+            let nodes = expand_ranges(&compress_ranges(&j.nodes)).unwrap();
+            prop_assert_eq!(nodes.capacity(), nodes.len());
+        }
+    }
+
+    /// The job-line length function is exact, like `rendered_len` is for
+    /// console lines.
+    #[test]
+    fn job_rendered_len_matches_render(job in any_job()) {
+        let line = job.render();
+        prop_assert_eq!(job.rendered_len(), line.len());
+        prop_assert_eq!(line.capacity(), line.len());
+    }
+
+    /// `parse_stream` reserves for at most one event per line, and no
+    /// more events than the text could hold: blank lines and short
+    /// chatter never make it reserve more bytes than the input has.
+    #[test]
+    fn parse_stream_reservation_is_bounded_by_input(
+        events in prop::collection::vec(any_event(), 0..20),
+        noise in prop::collection::vec("[ \\t\\n]{0,5}|\\PC{0,8}\\n", 0..200),
+    ) {
+        let log = render_log(&events);
+        let (parsed, _) = parse_stream(&log);
+        prop_assert_eq!(parsed.capacity(), events.len());
+
+        let text = noise.concat();
+        let (parsed, _) = parse_stream(&text);
+        let reserved = parsed.capacity() * std::mem::size_of::<ConsoleEvent>();
+        prop_assert!(reserved <= text.len(), "{reserved} B reserved for {} B", text.len());
+    }
+
     /// Console event -> line -> event is the identity.
     #[test]
     fn console_roundtrip(

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 use titan_conlog::time::SimTime;
-use titan_conlog::{format, Aprun, ConsoleEvent, JobRecord};
+use titan_conlog::{format, joblog, Aprun, ConsoleEvent, JobRecord};
 use titan_gpu::pages::RetirementCause;
 use titan_gpu::MemoryStructure;
 use titan_nvsmi::{GpuSnapshot, JobEccDelta};
@@ -111,34 +111,19 @@ pub struct SimOutput {
 
 impl SimOutput {
     /// Renders the console log as text — the exact artifact the paper's
-    /// pipeline parsed on the SMW.
+    /// pipeline parsed on the SMW. The buffer is sized exactly.
     pub fn render_console_log(&self) -> String {
-        let mut s = String::with_capacity(self.console.len() * 96);
-        for ev in &self.console {
-            s.push_str(&format::render_line(ev));
-            s.push('\n');
-        }
-        s
+        format::render_log(&self.console)
     }
 
-    /// Renders the job log.
+    /// Renders the job log into an exactly sized buffer.
     pub fn render_job_log(&self) -> String {
-        let mut s = String::with_capacity(self.jobs.len() * 160);
-        for j in &self.jobs {
-            s.push_str(&j.render());
-            s.push('\n');
-        }
-        s
+        joblog::render_job_log(&self.jobs)
     }
 
-    /// Renders the aprun (ALPS) log.
+    /// Renders the aprun (ALPS) log into an exactly sized buffer.
     pub fn render_aprun_log(&self) -> String {
-        let mut s = String::with_capacity(self.apruns.len() * 48);
-        for a in &self.apruns {
-            s.push_str(&a.render());
-            s.push('\n');
-        }
-        s
+        joblog::render_aprun_log(&self.apruns)
     }
 
     /// Console events of one error kind.

@@ -52,3 +52,47 @@ fn different_seeds_diverge() {
     // with different master seeds cannot coincide.
     assert_ne!(a.0, b.0, "different seeds produced identical output");
 }
+
+/// FNV-1a 64 of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// The three text logs are wire formats: the analysis parses them back
+/// and `output_digest` hashes them. Their bytes for one fixed quick study
+/// are pinned here, so a writer change that moves a single byte fails,
+/// and each whole-log buffer must be allocated at exactly its final size.
+#[test]
+fn wire_formats_are_byte_pinned() {
+    let out = Simulator::new(SimConfig::quick(20, 42)).unwrap().run();
+    let console = out.render_console_log();
+    let jobs = out.render_job_log();
+    let apruns = out.render_aprun_log();
+    for (log, text) in [("console", &console), ("job", &jobs), ("aprun", &apruns)] {
+        assert_eq!(
+            text.capacity(),
+            text.len(),
+            "{log} log buffer is not exactly sized"
+        );
+    }
+    assert_eq!(
+        (console.len(), fnv1a(console.as_bytes())),
+        (4_438_546, 0x66eb_1bfa_8326_92e5),
+        "console log bytes moved"
+    );
+    assert_eq!(
+        (jobs.len(), fnv1a(jobs.as_bytes())),
+        (1_881_235, 0xb693_853b_c04b_f028),
+        "job log bytes moved"
+    );
+    assert_eq!(
+        (apruns.len(), fnv1a(apruns.as_bytes())),
+        (133_886, 0xe3ff_55ae_76bc_dd53),
+        "aprun log bytes moved"
+    );
+}

@@ -21,8 +21,8 @@
 //!                                           attribution table
 //! ```
 //!
-//! Without `--days` the full Jun'13–Feb'15 window runs (about two
-//! minutes in release). Everything is seed-deterministic: the same
+//! Without `--days` the full Jun'13–Feb'15 window runs (about 7 s in
+//! release on a 2-core host). Everything is seed-deterministic: the same
 //! seed and window produce byte-identical output.
 //!
 //! Time domains: the metrics documents written by `--metrics` carry
@@ -230,7 +230,7 @@ commands:
                                     and attribute the events/sec delta to the
                                     deterministic per-kind cost ledger they embed
 
-Without --days the full 21-month study window runs (~2 min in release).";
+Without --days the full 21-month study window runs (about 7 s in release on a 2-core host).";
 
 /// Parsed common options.
 struct Opts {
