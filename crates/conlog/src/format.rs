@@ -104,11 +104,10 @@ pub(crate) fn digits(mut v: u64) -> usize {
 
 /// Exact byte length of [`render_line`] for `ev`, computed without
 /// formatting or allocating. The titan-prof cost ledger charges console
-/// bytes per event kind on the hot path; rendering each line twice just
-/// to measure it would cost more than the ledger is allowed to
-/// (`bench_pr`'s prof-overhead gate). Pinned equal to
-/// `render_line(ev).len()` by the `rendered_len_matches_render_line`
-/// test over the full event corpus.
+/// bytes per event kind on the hot path, where rendering each line a
+/// second time just to measure it would double the ledger's cost.
+/// Pinned equal to `render_line(ev).len()` by the
+/// `rendered_len_matches_render_line` test over the full event corpus.
 pub fn rendered_len(ev: &ConsoleEvent) -> usize {
     // "[" + fixed 19-char timestamp + "] "
     let mut n = 1 + 19 + 2;

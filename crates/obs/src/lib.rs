@@ -13,19 +13,20 @@
 //! work. No wall-clock value may ever enter the registry or the trace
 //! ring: recorded telemetry must be byte-identical for a fixed seed
 //! across thread widths, hosts, and reruns. Wall-clock profiling lives
-//! strictly in `titan-runner`, `titan-bench`, and the CLI — titan-lint
-//! rule D5 enforces this mechanically for every engine crate, this one
-//! included. The only wall-clock bridge is the [`Obs::set_phase_hook`]
-//! callback: the engine reports *phase boundaries* (pure `&'static str`
-//! markers) and a non-engine caller may timestamp them on its side.
+//! strictly in `titan-runner` and the CLI — titan-lint rule D5 enforces
+//! this mechanically for every engine crate, this one included. The
+//! only wall-clock bridge is the [`Obs::set_prof_wall_hook`] callback:
+//! the cost ledger reports *scope changes* (pure `&'static str` names)
+//! and a non-engine caller may timestamp them on its side.
 //!
 //! ## Cost model
 //!
 //! Handles ([`Counter`], [`Gauge`], [`HistId`]) are `Copy` indices;
 //! recording through a disabled registry is a single branch on a bool,
 //! so the instrumented engine with metrics off stays within noise of
-//! the uninstrumented one (the CI overhead gate in `bench_pr2` holds
-//! even the *enabled* path to < 5% on the quick window).
+//! the uninstrumented one. The *enabled* cost is measured end to end by
+//! the `observed_study` benchmark workload against a plain run of the
+//! same seed (see `OBSERVABILITY.md`).
 //!
 //! See `OBSERVABILITY.md` at the workspace root for the metric catalog,
 //! the span taxonomy, and how to add a metric without breaking
@@ -199,7 +200,6 @@ pub struct Obs {
     pub health: HealthSink,
     /// Pre-registered handles for the standard catalog.
     pub cat: Catalog,
-    phase_hook: Option<Box<dyn FnMut(&'static str)>>,
     /// The deterministic cost ledger (off by default; see
     /// [`Obs::enable_prof`]). Private: the engine records through the
     /// `prof_*` methods so watermark reads stay in one place.
@@ -212,7 +212,6 @@ impl std::fmt::Debug for Obs {
             .field("enabled", &self.reg.enabled())
             .field("trace", &self.trace)
             .field("stream_enabled", &self.stream.is_enabled())
-            .field("phase_hook", &self.phase_hook.is_some())
             .finish()
     }
 }
@@ -285,7 +284,6 @@ impl Obs {
             ts: TimeBuckets::new(enabled, series::DEFAULT_BUCKET_SECS),
             health: HealthSink::new(false),
             cat,
-            phase_hook: None,
             prof: prof::ProfLedger::new(false),
         }
     }
@@ -329,18 +327,10 @@ impl Obs {
         self.health.is_enabled()
     }
 
-    /// Installs a phase-boundary callback. The engine calls
-    /// [`Obs::phase`] with a static marker when it enters each phase;
-    /// a CLI-side hook may timestamp those markers with the wall clock
-    /// (the engine itself never sees a clock — lint D5).
-    pub fn set_phase_hook(&mut self, hook: Box<dyn FnMut(&'static str)>) {
-        self.phase_hook = Some(hook);
-    }
-
     /// Marks a phase boundary: `name` starts now, the previous phase
-    /// (if any) ends now. Fires the hook when one is installed, and —
-    /// with the cost ledger on — opens a ledger phase scope, so every
-    /// existing phase marker doubles as a prof attribution boundary.
+    /// (if any) ends now. With the cost ledger on this opens a ledger
+    /// phase scope, so every phase marker doubles as a prof attribution
+    /// boundary; with it off the call is a no-op.
     pub fn phase(&mut self, name: &'static str) {
         if self.prof.enabled() {
             // Phase boundaries sit outside the event loop: no engine RNG
@@ -349,9 +339,6 @@ impl Obs {
             let rng = self.prof.last_rng();
             let trace = self.stream.next_id();
             self.prof.switch_phase(name, rng, trace);
-        }
-        if let Some(hook) = &mut self.phase_hook {
-            hook(name);
         }
     }
 
@@ -376,8 +363,8 @@ impl Obs {
     }
 
     /// Installs the wall-clock edge hook (see
-    /// [`prof::ProfLedger::set_wall_hook`]); CLI-side only, like
-    /// [`Obs::set_phase_hook`].
+    /// [`prof::ProfLedger::set_wall_hook`]); CLI-side only: the engine
+    /// itself never sees a clock (lint D5).
     pub fn set_prof_wall_hook(&mut self, hook: Box<dyn FnMut(&'static str)>) {
         self.prof.set_wall_hook(hook);
     }
@@ -539,16 +526,5 @@ mod tests {
         obs.health.finish(100);
         let doc = parse_health(&obs.health.render_jsonl(1, 1)).expect("parse");
         assert_eq!(doc.header.intervals, 1);
-    }
-
-    #[test]
-    fn phase_hook_sees_markers_in_order() {
-        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let sink = seen.clone();
-        let mut obs = Obs::disabled(); // hook fires even with metrics off
-        obs.set_phase_hook(Box::new(move |name| sink.borrow_mut().push(name)));
-        obs.phase("a");
-        obs.phase("b");
-        assert_eq!(*seen.borrow(), vec!["a", "b"]);
     }
 }

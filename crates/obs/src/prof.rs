@@ -32,12 +32,12 @@
 //!
 //! ## The wall-clock quarantine (lint D5)
 //!
-//! The engine never sees a clock. Wall-time attribution works exactly
-//! like [`crate::Obs::set_phase_hook`]: the ledger fires a registered
-//! hook with the new scope's static name on every scope *change*, and a
-//! non-engine caller (the CLI / `titan-bench`) timestamps the edges on
-//! its side. The resulting [`WallDoc`] is carried in the **last** field
-//! of [`ProfDoc`] and every byte-identity comparison strips it first —
+//! The engine never sees a clock. Wall-time attribution is the only
+//! wall-clock bridge: the ledger fires a registered hook with the new
+//! scope's static name on every scope *change*, and a non-engine caller
+//! (the CLI, or a benchmark harness) timestamps the edges on its side.
+//! The resulting [`WallDoc`] is carried in the **last** field of
+//! [`ProfDoc`] and every byte-identity comparison strips it first —
 //! no wall-clock value ever enters a digest.
 //!
 //! ## Delta attribution
@@ -213,8 +213,8 @@ enum Scope {
 }
 
 /// The deterministic cost ledger. Disabled ledgers are inert: every
-/// record call is one branch, so the uninstrumented hot loop stays
-/// within the `bench_pr` prof-overhead gate (≤ 1%).
+/// record call is one branch, so a run with the ledger off pays only
+/// that branch per call site.
 pub struct ProfLedger {
     enabled: bool,
     kinds: [KindCost; CostKind::ALL.len()],
@@ -275,9 +275,8 @@ impl ProfLedger {
     }
 
     /// Installs the wall-clock edge hook, fired with the new scope's
-    /// static name on every scope *change*. Same D5 bridge shape as
-    /// [`crate::Obs::set_phase_hook`]: the ledger reports edges, the
-    /// non-engine caller owns the clock.
+    /// static name on every scope *change*. This is the D5 bridge: the
+    /// ledger reports edges, the non-engine caller owns the clock.
     pub fn set_wall_hook(&mut self, hook: Box<dyn FnMut(&'static str)>) {
         self.wall_hook = Some(hook);
     }

@@ -28,7 +28,7 @@ pub use ckpt::{
 };
 // Re-exported so CLI code can name the telemetry types through the
 // runner without a direct titan-obs dependency.
-pub use titan_obs::{KindCost, MetricsDoc, Obs};
+pub use titan_obs::{MetricsDoc, Obs};
 use titan_obs::TraceKind;
 use titan_reliability::{evaluate_all, Expectation, Study, StudyConfig, Verdict};
 use titan_sim::SimOutput;
@@ -207,28 +207,18 @@ pub struct ReplicationReport {
 /// a replication worker runs; the determinism test compares its digest
 /// against threaded output.
 pub fn run_seed(base: &StudyConfig, seed: u64, skip_expectations: bool) -> SeedRun {
-    run_seed_obs(base, seed, skip_expectations, false)
+    run_seed_full(base, seed, skip_expectations, false, false, false).0
 }
 
 /// [`run_seed`] with optional observability collection. When
 /// `collect_obs` is set the study runs with an enabled [`Obs`] sink,
 /// the SEC and nvsmi sections are filled by [`collect_metrics`], and
 /// the flattened document joins `metrics` under an `obs.` prefix.
-pub fn run_seed_obs(
-    base: &StudyConfig,
-    seed: u64,
-    skip_expectations: bool,
-    collect_obs: bool,
-) -> SeedRun {
-    run_seed_full(base, seed, skip_expectations, collect_obs, false, false).0
-}
-
-/// [`run_seed_obs`] plus optional flight-recorder capture: when
-/// `collect_trace` is set the seed runs with an enabled trace stream,
-/// the collect-time SEC replay and nvsmi rollups are stitched into the
-/// causal chains, and the rendered `titan-trace/1` JSONL comes back
-/// alongside the summary. Tracing is a pure observer — the [`SeedRun`]
-/// (digest included) is identical with it on or off.
+/// When `collect_trace` is set the seed runs with an enabled trace
+/// stream, the collect-time SEC replay and nvsmi rollups are stitched
+/// into the causal chains, and the rendered `titan-trace/1` JSONL comes
+/// back alongside the summary. Tracing is a pure observer — the
+/// [`SeedRun`] (digest included) is identical with it on or off.
 pub fn run_seed_full(
     base: &StudyConfig,
     seed: u64,
@@ -291,41 +281,6 @@ pub fn run_seed_full(
         },
         trace,
         health,
-    )
-}
-
-/// [`run_seed`] with the `titan-prof/2` cost ledger armed and nothing
-/// else: the metrics sink stays off, so the measured wall is comparable
-/// to [`run_seed`]'s — this is the bench_pr prof-overhead arm. Returns
-/// the summary plus the deterministic per-scope ledger. No allocator
-/// probe or wall hook is installed: overhead measurement wants the pure
-/// in-loop ledger cost, and the count columns are identical either way.
-pub fn run_seed_prof(
-    base: &StudyConfig,
-    seed: u64,
-    skip_expectations: bool,
-) -> (SeedRun, BTreeMap<String, titan_obs::KindCost>) {
-    let mut config = base.clone();
-    config.sim.seed = seed;
-    let mut obs = Obs::new(false);
-    obs.enable_prof();
-    let study = Study::new(config).run_with_obs(&mut obs);
-    let expectations = if skip_expectations {
-        Vec::new()
-    } else {
-        evaluate_all(&study.figures())
-    };
-    let metrics = seed_metrics(&study.sim);
-    obs.prof_finish();
-    (
-        SeedRun {
-            seed,
-            output_digest: output_digest(&study.sim),
-            metrics,
-            expectations,
-            obs: None,
-        },
-        obs.prof_ledger().ledger_map(),
     )
 }
 
@@ -827,7 +782,7 @@ mod tests {
     fn metrics_collection_never_perturbs_the_run() {
         let base = StudyConfig::quick(10, 0);
         let plain = run_seed(&base, 100, true);
-        let observed = run_seed_obs(&base, 100, true, true);
+        let observed = run_seed_full(&base, 100, true, true, false, false).0;
         assert_eq!(plain.output_digest, observed.output_digest);
         assert!(plain.obs.is_none());
         let doc = observed.obs.expect("collected");
@@ -907,7 +862,7 @@ mod tests {
     #[test]
     fn timeseries_buckets_sum_to_run_end_counters() {
         let base = StudyConfig::quick(30, 0);
-        let run = run_seed_obs(&base, 100, true, true);
+        let run = run_seed_full(&base, 100, true, true, false, false).0;
         let doc = run.obs.expect("collected");
         assert_eq!(doc.schema, "titan-obs/2");
         for name in [
@@ -938,7 +893,7 @@ mod tests {
     #[test]
     fn trace_capture_never_perturbs_run_or_metrics() {
         let base = StudyConfig::quick(10, 0);
-        let plain = run_seed_obs(&base, 100, true, true);
+        let plain = run_seed_full(&base, 100, true, true, false, false).0;
         let (traced, trace, _) = run_seed_full(&base, 100, true, true, true, false);
         assert_eq!(plain, traced, "tracing changed the seed summary");
         let text = trace.expect("trace requested");

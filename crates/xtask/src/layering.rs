@@ -2,11 +2,11 @@
 //!
 //! The engine crates are the part of the workspace whose output must be
 //! byte-identical for a given seed. A dependency edge from an engine
-//! crate to the runner, the bench harness, or the CLI would let host
-//! state (thread pools, wall clocks, argv) flow back into the
-//! simulation, and an edge between engine crates outside the declared
-//! DAG hides exactly the kind of cross-layer coupling that made Titan's
-//! nvidia-smi DBE counts untrustworthy. L1 parses every
+//! crate to the runner or the CLI would let host state (thread pools,
+//! wall clocks, argv) flow back into the simulation, and an edge
+//! between engine crates outside the declared DAG hides exactly the
+//! kind of cross-layer coupling that made Titan's nvidia-smi DBE counts
+//! untrustworthy. L1 parses every
 //! `crates/*/Cargo.toml` (plus the root façade manifest), rebuilds the
 //! dependency graph, and checks it against [`LAYERS`], the committed
 //! DAG (drawn in DETERMINISM.md).
@@ -49,13 +49,6 @@ pub const LAYERS: &[(&str, &[&str])] = &[
         ],
     ),
     ("runner", &["core", "simulator", "stats", "conlog", "nvsmi", "obs"]),
-    (
-        "bench",
-        &[
-            "core", "simulator", "analysis", "conlog", "topology", "gpu", "faults", "workload",
-            "stats", "nvsmi", "runner",
-        ],
-    ),
     // Build tooling: std-only by contract, and nothing depends on it.
     ("xtask", &[]),
 ];

@@ -31,7 +31,7 @@
 //!   ratchets down via the `[n1]` baseline section.
 //! - **L1** — the crate layering contract: `crates/*/Cargo.toml`
 //!   dependency edges must match the DAG in [`layering::LAYERS`]
-//!   (engine crates never depend on runner/bench/CLI or on each other
+//!   (engine crates never depend on the runner/CLI or on each other
 //!   outside the declared order; no rayon in engine manifests).
 //! - **S1** — frozen output schemas (`titan-obs/2`, `titan-check/1`,
 //!   `titan-obs-replicate/1`) must match their golden specs in
@@ -101,9 +101,9 @@ pub use sarif::render_sarif;
 use lexer::{lex, Tok, TokKind};
 
 /// Crates under `crates/` holding simulation state or feeding it —
-/// the D1/D2/N1 scope. Analysis-side crates (`stats`, `analysis`,
-/// `bench`, `xtask`) may use wall-clock and hashed containers; they
-/// consume sim output, they don't produce it.
+/// the D1/D2/N1 scope. The crates outside it (`stats`, `analysis`,
+/// `runner`, `xtask`) may use wall-clock and hashed containers; they
+/// consume or orchestrate sim output, they don't produce it.
 pub const SIM_CRATE_DIRS: &[&str] = &[
     "core", "simulator", "faults", "gpu", "workload", "topology", "conlog", "nvsmi", "obs",
 ];
@@ -557,7 +557,7 @@ pub fn scan_file(rel_path: &str, text: &str, sim_scope: bool, engine_scope: bool
                              the sim time domain"
                         ),
                         "record through titan-obs (sim-time counters/spans); wall-clock \
-                         profiling belongs in the runner/bench/CLI layer — see \
+                         profiling belongs in the runner/CLI layer — see \
                          OBSERVABILITY.md",
                     );
                     break; // one finding per line is enough

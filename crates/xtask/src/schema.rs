@@ -3,12 +3,11 @@
 //! Several JSON document schemas are public contracts: `titan-obs/2`
 //! (metrics documents), `titan-check/1` (per-check verdicts),
 //! `titan-obs-replicate/1` (replication bands), `titan-trace/1`
-//! (flight-recorder records), `titan-prof/2` (cost-ledger profile
-//! documents), and `titan-bench-trajectory/1` (merged perf-snapshot
-//! trajectories). Downstream tooling
-//! parses them by field name, so a renamed or reordered field is a
-//! silent break — the same failure shape as the nvidia-smi DBE counter
-//! the paper found undercounting for years.
+//! (flight-recorder records), and `titan-prof/2` (cost-ledger profile
+//! documents). Downstream tooling parses them by field name, so a
+//! renamed or reordered field is a silent break — the same failure
+//! shape as the nvidia-smi DBE counter the paper found undercounting
+//! for years.
 //!
 //! Each schema has a golden spec committed under `crates/xtask/schemas/`
 //! (a tiny TOML: schema string, defining file, struct name, ordered
@@ -28,7 +27,6 @@ use crate::{Finding, Rule};
 /// strings are only ever *minted* in these files; everywhere else they
 /// are compared against, not defined.
 pub const S1_FILES: &[&str] = &[
-    "crates/bench/src/bin/bench_pr.rs",
     "crates/obs/src/export.rs",
     "crates/obs/src/flight.rs",
     "crates/obs/src/health.rs",

@@ -261,7 +261,7 @@ fn injected_d5_violation_fails_in_engine_crate_only() {
     assert!(found[0].1.ends_with("meter.rs:1"), "got {}", found[0].1);
 
     // The same code in the analysis-scope crate is allowed: profiling
-    // wall time is exactly what the bench/CLI side does.
+    // wall time is exactly what the runner/CLI side does.
     let root2 = scaffold("lint_d5_stats");
     fs::write(root2.join("crates/stats/src/meter.rs"), src).unwrap();
     assert!(lint(&root2, &Baseline::default()).is_empty());
@@ -459,7 +459,6 @@ fn real_tree_layering_and_schemas_are_clean() {
     assert_eq!(
         names,
         [
-            "titan-bench-trajectory/1",
             "titan-check/1",
             "titan-ckpt/1",
             "titan-health/1",
@@ -553,7 +552,7 @@ fn x1_fixture_finds_dead_pubs_across_the_reference_graph() {
     assert!(budgeted.findings.is_empty(), "{:?}", budgeted.findings);
 }
 
-/// Acceptance criterion: `--format json` is byte-identical across
+/// Acceptance: `--format json` is byte-identical across
 /// repeated runs of the real binary on the real tree.
 #[test]
 fn json_output_is_byte_stable_across_runs() {
@@ -672,7 +671,7 @@ fn t1_fixture_reports_the_laundering_chain_end_to_end() {
     assert!(budgeted.findings.is_empty(), "{:?}", budgeted.findings);
 }
 
-/// Acceptance criterion: every T1 result in the SARIF log carries a
+/// Acceptance: every T1 result in the SARIF log carries a
 /// codeFlow replaying the witness chain.
 #[test]
 fn t1_fixture_sarif_carries_code_flows_for_every_hit() {
@@ -727,7 +726,7 @@ fn lints_md_mirror_matches_rule_meta() {
     }
 }
 
-/// Acceptance criterion: the full-workspace lint stays under the 2 s
+/// Acceptance: the full-workspace lint stays under the 2 s
 /// cold budget (CI times the built binary as well).
 #[test]
 fn full_workspace_lint_stays_under_two_seconds() {

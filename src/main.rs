@@ -131,8 +131,6 @@ fn main() -> ExitCode {
         // lint: allow(P2, first() returned Some above, so index 1.. is in bounds)
         "health" => health_cmd(&args[1..]),
         "ckpt" => ckpt_cmd(&args[1..]),
-        // lint: allow(P2, first() returned Some above, so index 1.. is in bounds)
-        "bench" => bench_cmd(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -225,10 +223,6 @@ commands:
                                     bisect DIR_A DIR_B: compare two runs'
                                     checkpoint chains and report the first
                                     interval whose chained digest diverges
-  bench diff A.json B.json
-                                    compare two bench_pr snapshots (BENCH_PR*.json)
-                                    and attribute the events/sec delta to the
-                                    deterministic per-kind cost ledger they embed
 
 Without --days the full 21-month study window runs (about 7 s in release on a 2-core host).";
 
@@ -707,158 +701,6 @@ fn load_checkpoint_chain(dir: &str) -> Result<Vec<titan_runner::CheckpointDoc>, 
     }
     docs.sort_by_key(|d| d.index);
     Ok(docs)
-}
-
-/// The `single_run` section of a bench_pr snapshot (every field is
-/// optional: older snapshots predate some of them, and the vendored
-/// serde maps a missing key to `None`).
-#[derive(serde::Deserialize)]
-struct BenchSingleRun {
-    window_days: Option<u64>,
-    events: Option<u64>,
-    events_per_sec: Option<f64>,
-    wall_seconds: Option<f64>,
-}
-
-/// The `prof` section a `titan-prof/2`-aware bench_pr embeds: the
-/// deterministic per-scope ledger of the snapshot's single run.
-#[derive(serde::Deserialize)]
-struct BenchProfSection {
-    kinds: Option<std::collections::BTreeMap<String, titan_obs::KindCost>>,
-}
-
-/// The slice of a `BENCH_PR*.json` snapshot `bench diff` reads. Extra
-/// keys in the file are ignored, so one parser covers every snapshot
-/// vintage.
-#[derive(serde::Deserialize)]
-struct BenchSnapshot {
-    pr: Option<u64>,
-    mode: Option<String>,
-    single_run: Option<BenchSingleRun>,
-    prof: Option<BenchProfSection>,
-}
-
-fn read_bench_snapshot(path: &str) -> Result<BenchSnapshot, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// The `bench` subcommand: offline tooling over bench_pr snapshots
-/// (`BENCH_PR*.json`, written by `cargo run --release -p titan-bench
-/// --bin bench_pr`). `diff` explains an events/sec delta between two
-/// snapshots in terms of the deterministic cost ledger they embed —
-/// count deltas are seed-deterministic, so a throughput change splits
-/// cleanly into "the workload mix changed" (counts moved) versus "the
-/// per-event cost changed" (counts held, wall moved).
-fn bench_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let Some(mode) = args.first() else {
-        return Err(format!("bench needs a mode (diff)\n{USAGE}"));
-    };
-    match mode.as_str() {
-        "diff" => {
-            let [_, a_path, b_path] = args else {
-                return Err("usage: bench diff A.json B.json".into());
-            };
-            let a = read_bench_snapshot(a_path)?;
-            let b = read_bench_snapshot(b_path)?;
-            print_bench_diff(&a, &b, a_path, b_path);
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown bench mode `{other}`\n{USAGE}")),
-    }
-}
-
-fn print_bench_diff(a: &BenchSnapshot, b: &BenchSnapshot, a_path: &str, b_path: &str) {
-    let label = |s: &BenchSnapshot, path: &str| {
-        format!(
-            "{path} (pr {}, {} mode)",
-            s.pr.map_or("?".to_string(), |p| p.to_string()),
-            s.mode.as_deref().unwrap_or("?")
-        )
-    };
-    println!("bench diff: {}", label(a, a_path));
-    println!("         -> {}", label(b, b_path));
-    if a.mode != b.mode {
-        println!("note: the snapshots ran different modes; walls are not comparable");
-    }
-    let field = |s: &BenchSnapshot, f: fn(&BenchSingleRun) -> Option<f64>| {
-        s.single_run.as_ref().and_then(f)
-    };
-    let rows: [(&str, fn(&BenchSingleRun) -> Option<f64>); 4] = [
-        // lint: allow(N1, u64 event counts are far below f64's exact-integer range)
-        ("window_days", |r| r.window_days.map(|v| v as f64)),
-        // lint: allow(N1, u64 event counts are far below f64's exact-integer range)
-        ("events", |r| r.events.map(|v| v as f64)),
-        ("wall_seconds", |r| r.wall_seconds),
-        ("events_per_sec", |r| r.events_per_sec),
-    ];
-    for (name, get) in rows {
-        match (field(a, get), field(b, get)) {
-            (Some(va), Some(vb)) => {
-                let pct = if va != 0.0 { (vb - va) / va * 100.0 } else { 0.0 };
-                println!("  {name:<16} {va:>14.2} -> {vb:>14.2}  ({pct:+.1}%)");
-            }
-            _ => println!("  {name:<16} (absent from one snapshot)"),
-        }
-    }
-    let (Some(ka), Some(kb)) = (
-        a.prof.as_ref().and_then(|p| p.kinds.as_ref()),
-        b.prof.as_ref().and_then(|p| p.kinds.as_ref()),
-    ) else {
-        println!(
-            "no deterministic ledger in one of the snapshots (written by a \
-             pre-titan-prof/2 bench_pr) — per-kind attribution unavailable"
-        );
-        return;
-    };
-    // Union of scopes, sorted by the magnitude of the dequeue delta:
-    // the scopes that moved the most work lead the attribution.
-    let mut names: Vec<&String> = ka.keys().chain(kb.keys()).collect();
-    names.sort();
-    names.dedup();
-    let zero = titan_obs::KindCost::default();
-    let mut deltas: Vec<(&String, i128, i128, i128)> = names
-        .iter()
-        .map(|name| {
-            let ca = ka.get(*name).unwrap_or(&zero);
-            let cb = kb.get(*name).unwrap_or(&zero);
-            (
-                *name,
-                i128::from(cb.dequeues) - i128::from(ca.dequeues),
-                i128::from(cb.rng_draws) - i128::from(ca.rng_draws),
-                i128::from(cb.allocs) - i128::from(ca.allocs),
-            )
-        })
-        .collect();
-    deltas.sort_by_key(|&(name, dq, rng, al)| {
-        (std::cmp::Reverse(dq.abs().max(rng.abs()).max(al.abs())), name.clone())
-    });
-    let total_dq: i128 = deltas.iter().map(|&(_, dq, _, _)| dq.abs()).sum();
-    println!();
-    println!("deterministic ledger deltas (B - A, seed-deterministic counts):");
-    println!(
-        "  {:<28} {:>12} {:>14} {:>12} {:>7}",
-        "scope", "dequeues", "rng_draws", "allocs", "share"
-    );
-    let mut moved = false;
-    for (name, dq, rng, al) in &deltas {
-        if *dq == 0 && *rng == 0 && *al == 0 {
-            continue;
-        }
-        moved = true;
-        let share = if total_dq > 0 {
-            format!("{:>6.1}%", (dq.abs() as f64) / (total_dq as f64) * 100.0)
-        } else {
-            "     —".to_string()
-        };
-        println!("  {name:<28} {dq:>+12} {rng:>+14} {al:>+12} {share}");
-    }
-    if !moved {
-        println!(
-            "  (no scope moved — the event mix is identical; any events/sec \
-             delta is host or per-event cost, not workload)"
-        );
-    }
 }
 
 /// One line of the `check --json` document.

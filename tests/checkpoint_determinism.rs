@@ -185,7 +185,7 @@ fn corrupted_checkpoint_fails_cleanly() {
     assert!(!stderr.contains("panicked"), "corruption caused a panic:\n{stderr}");
 }
 
-/// Acceptance criterion: `ckpt bisect` pins an injected divergence to
+/// Acceptance: `ckpt bisect` pins an injected divergence to
 /// the single checkpoint interval that contains it, and reports clean
 /// agreement for identical runs.
 #[test]

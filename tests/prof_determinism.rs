@@ -15,8 +15,7 @@
 //! 4. resume validates the ledger flag against the checkpoint, both
 //!    ways, like `--health`;
 //! 5. `profile --perfetto` is byte-stable for a fixed seed and
-//!    `--flamegraph` has the documented collapsed-stack shape;
-//! 6. `bench diff` reads the committed `BENCH_PR*.json` snapshots.
+//!    `--flamegraph` has the documented collapsed-stack shape.
 //!
 //! No comparison in this file looks at a wall-clock value: the `wall`
 //! section is stripped (via [`titan_obs::ProfDoc::deterministic_json`]
@@ -234,28 +233,4 @@ fn profile_exports_have_documented_determinism() {
         fg.lines().any(|l| l.starts_with("titan;engine:event_loop;ev:")),
         "no event-kind frames nested under the engine loop:\n{fg}"
     );
-}
-
-/// `bench diff` reads the committed snapshots: the pre-ledger baseline
-/// pairs with the current one (per-kind attribution unavailable), and
-/// a self-diff of the current snapshot shows a quiet ledger.
-#[test]
-fn bench_diff_reads_committed_snapshots() {
-    // Integration tests run with the package root as cwd, where the
-    // committed BENCH_PR*.json snapshots live.
-    let old_new = run_in(Path::new("."), "1", &["bench", "diff", "BENCH_PR8.json", "BENCH_PR10.json"]);
-    let text = String::from_utf8_lossy(&old_new.stdout);
-    assert!(text.contains("bench diff:"), "missing header:\n{text}");
-    assert!(text.contains("events_per_sec"), "missing throughput row:\n{text}");
-    assert!(
-        text.contains("pre-titan-prof/2"),
-        "PR8 snapshot predates the ledger; expected the fallback note:\n{text}"
-    );
-    let same = run_in(Path::new("."), "1", &["bench", "diff", "BENCH_PR10.json", "BENCH_PR10.json"]);
-    let text = String::from_utf8_lossy(&same.stdout);
-    assert!(
-        text.contains("deterministic ledger deltas"),
-        "PR10 snapshot carries a ledger; expected the delta table:\n{text}"
-    );
-    assert!(text.contains("no scope moved"), "self-diff shows movement:\n{text}");
 }

@@ -239,7 +239,7 @@ fn trace_flag_never_changes_the_report() {
     assert_eq!(strip(&plain), strip(&traced), "--trace changed the simulation report");
 }
 
-/// Acceptance criterion: `trace verify` proves complete provenance on
+/// Acceptance: `trace verify` proves complete provenance on
 /// the default 60-day window — every chain terminates at a FaultDraft
 /// root and every console line / SEC alert has a causal parent.
 #[test]
