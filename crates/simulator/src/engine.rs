@@ -108,9 +108,13 @@ enum Ev {
 struct JobState {
     started: bool,
     ended: bool,
-    /// Reported per-structure SBE totals per node at job start, in
-    /// `MemoryStructure::ECC_COUNTED` order. Present only while running.
-    pre_sbe: Option<Vec<[u64; 5]>>,
+    /// Copy-on-first-write nvidia-smi prologue: the reported
+    /// per-structure SBE totals (`MemoryStructure::ECC_COUNTED` order) of
+    /// each job node whose counters changed while the job held it, as
+    /// they stood at job start. Sorted by node, one entry per node; a
+    /// node absent here still reads what it read at job start. Present
+    /// only while running.
+    pre_sbe: Option<Vec<(NodeId, [u64; 5])>>,
     actual_end: SimTime,
 }
 
@@ -123,13 +127,21 @@ struct JobTable {
     state: Vec<JobState>,
     /// Node → running job (NO_JOB when idle).
     node_job: Vec<u32>,
+    /// Node → the job that still holds it for the rest of the second in
+    /// which `node_job`'s job took it over (NO_JOB otherwise). A queued
+    /// job starts at the very second its predecessor releases the nodes,
+    /// and job starts dispatch before same-second job ends, so for that
+    /// second both jobs hold the node and both see its counters change.
+    /// Empty again once the second's job ends have run, so it is empty
+    /// at every checkpoint boundary and checkpoints do not carry it.
+    handoff: Vec<u32>,
     /// Currently running jobs.
     active: Vec<u32>,
     /// Job → index in `active` (NO_JOB when not active).
     active_pos: Vec<u32>,
     /// Recycled pre-SBE snapshot buffers (one allocation per concurrent
     /// job, reused across the whole run).
-    spare_pre: Vec<Vec<[u64; 5]>>,
+    spare_pre: Vec<Vec<(NodeId, [u64; 5])>>,
 }
 
 /// Portable [`JobTable`] state for checkpointing. The recycled
@@ -151,6 +163,7 @@ impl JobTable {
         JobTable {
             state: vec![JobState::default(); n_jobs],
             node_job: vec![NO_JOB; TOTAL_SLOTS],
+            handoff: vec![NO_JOB; TOTAL_SLOTS],
             active: Vec::new(),
             active_pos: vec![NO_JOB; n_jobs],
             spare_pre: Vec::new(),
@@ -168,19 +181,55 @@ impl JobTable {
         }
     }
 
-    fn from_snapshot(s: &JobTableSnapshot) -> JobTable {
-        JobTable {
+    /// Rebuilds the table from a checkpoint. Refuses a `pre_sbe` list
+    /// that is not one strictly node-ordered entry per node of its own
+    /// job: the epilogue looks nodes up by binary search, so a duplicate
+    /// or foreign entry would silently misattribute SBEs.
+    fn from_snapshot(
+        s: &JobTableSnapshot,
+        schedule: &WorkloadSchedule,
+    ) -> Result<JobTable, String> {
+        for (j, st) in s.state.iter().enumerate() {
+            let Some(pre) = &st.pre_sbe else {
+                continue;
+            };
+            let nodes = schedule
+                .jobs
+                .get(j)
+                .map(|job| job.nodes.as_slice())
+                .unwrap_or_default();
+            let misordered = pre.windows(2).find_map(|w| match w {
+                [(a, _), (b, _)] if a >= b => Some(*b),
+                _ => None,
+            });
+            if let Some(n) = misordered {
+                return Err(format!(
+                    "checkpoint job {j}: pre_sbe lists node {} out of order or twice",
+                    n.0
+                ));
+            }
+            if let Some((n, _)) = pre.iter().find(|(n, _)| !nodes.contains(n)) {
+                return Err(format!(
+                    "checkpoint job {j}: pre_sbe names node {}, which the job does not hold",
+                    n.0
+                ));
+            }
+        }
+        Ok(JobTable {
             state: s.state.clone(),
             node_job: s.node_job.clone(),
+            handoff: vec![NO_JOB; s.node_job.len()],
             active: s.active.clone(),
             active_pos: s.active_pos.clone(),
             spare_pre: (0..s.spare_pre_len).map(|_| Vec::new()).collect(),
-        }
+        })
     }
 
-    /// Marks job `j` started: occupies its nodes and snapshots the
-    /// reported SBE counters (the nvidia-smi prologue).
-    fn start(&mut self, j: u32, job: &ScheduledJob, fleet: &Fleet, obs: &mut Obs) {
+    /// Marks job `j` started: occupies its nodes, moving a predecessor
+    /// that still holds one to `handoff`. The nvidia-smi prologue reads
+    /// no counters here; [`JobTable::before_sbe_write`] copies a node's
+    /// reading the first time it is about to change.
+    fn start(&mut self, j: u32, job: &ScheduledJob, obs: &mut Obs) {
         let mut pre = match self.spare_pre.pop() {
             Some(buf) => {
                 obs.reg.inc(obs.cat.engine.pre_sbe_reuse_hits);
@@ -197,15 +246,21 @@ impl JobTable {
         st.started = true;
         st.actual_end = job.end;
         pre.clear();
-        pre.reserve(job.nodes.len());
-        for n in &job.nodes {
-            if let Some(slot) = self.node_job.get_mut(n.0 as usize) {
-                *slot = j;
-            }
-            pre.push(reported_sbe_vector(fleet, *n));
-        }
-        obs.reg.add(obs.cat.nvsmi.prologue_reads, job.nodes.len() as u64);
         st.pre_sbe = Some(pre);
+        for n in &job.nodes {
+            let idx = n.0 as usize;
+            let Some(slot) = self.node_job.get_mut(idx) else {
+                continue;
+            };
+            let held = std::mem::replace(slot, j);
+            if held != j {
+                if let Some(h) = self.handoff.get_mut(idx) {
+                    *h = held;
+                }
+            }
+        }
+        // The modelled nvidia-smi prologue reads every node.
+        obs.reg.add(obs.cat.nvsmi.prologue_reads, job.nodes.len() as u64);
         let pos = self.active.len();
         if let Some(p) = self.active_pos.get_mut(j as usize) {
             // lint: allow(N1, active job count is bounded by the schedule length, far below 2^32)
@@ -237,7 +292,11 @@ impl JobTable {
             return;
         };
         for n in &job.nodes {
-            if let Some(slot) = self.node_job.get_mut(n.0 as usize) {
+            let idx = n.0 as usize;
+            for slot in [self.node_job.get_mut(idx), self.handoff.get_mut(idx)]
+                .into_iter()
+                .flatten()
+            {
                 if *slot == j {
                     *slot = NO_JOB;
                 }
@@ -262,25 +321,31 @@ impl JobTable {
             }
         }
 
-        // nvidia-smi epilogue: per-node SBE delta.
+        // nvidia-smi epilogue: per-node SBE delta. Only nodes whose
+        // counters changed during the job are re-read; every other node
+        // still reads its prologue value, so its delta is 0.
         let pre = st.pre_sbe.take().unwrap_or_default();
         let mut per_node_sbe = Vec::with_capacity(job.nodes.len());
         let mut per_structure_sbe = vec![0u64; 5];
-        for (n, before) in job.nodes.iter().zip(&pre) {
-            let after = reported_sbe_vector(fleet, *n);
+        for n in &job.nodes {
             let mut node_total = 0;
-            for ((a, b), ps) in after
-                .iter()
-                .zip(before.iter())
-                .zip(per_structure_sbe.iter_mut())
-            {
-                let d = a.saturating_sub(*b);
-                node_total += d;
-                *ps += d;
+            if let Ok(i) = pre.binary_search_by_key(n, |&(m, _)| m) {
+                let before = pre.get(i).map_or([0; 5], |&(_, v)| v);
+                let after = reported_sbe_vector(fleet, *n);
+                for ((a, b), ps) in after
+                    .iter()
+                    .zip(before.iter())
+                    .zip(per_structure_sbe.iter_mut())
+                {
+                    let d = a.saturating_sub(*b);
+                    node_total += d;
+                    *ps += d;
+                }
             }
             per_node_sbe.push((*n, node_total));
         }
         self.spare_pre.push(pre);
+        // The modelled nvidia-smi epilogue reads every node.
         obs.reg.add(obs.cat.nvsmi.epilogue_reads, job.nodes.len() as u64);
         obs.trace.record(Span {
             kind: SpanKind::JobLifecycle,
@@ -312,6 +377,63 @@ impl JobTable {
             max_memory_bytes: job.spec.mem_max_bytes,
             total_memory_byte_hours: job.spec.total_memory_byte_hours() * frac.min(1.0),
         });
+    }
+
+    /// Copy-on-first-write prologue reading. Must run before every
+    /// change to the reported SBE counters of the card in `slot`: the
+    /// first call for each job holding that node records the node's
+    /// counters as they still stand, which are the counters the
+    /// nvidia-smi prologue read at the job's start. Later calls during
+    /// the same job, and calls on idle nodes, record nothing.
+    fn before_sbe_write(&mut self, fleet: &Fleet, slot: u32) {
+        let node = fleet.node_of_slot(slot);
+        // lint: allow(N1, u32 to usize is lossless on 64-bit targets)
+        let idx = node.0 as usize;
+        let holders = [self.node_job.get(idx).copied(), self.handoff.get(idx).copied()];
+        for j in holders.into_iter().flatten() {
+            // NO_JOB and jobs no longer running have no list.
+            let Some(pre) = self
+                .state
+                // lint: allow(N1, u32 to usize is lossless on 64-bit targets)
+                .get_mut(j as usize)
+                .and_then(|st| st.pre_sbe.as_mut())
+            else {
+                continue;
+            };
+            if let Err(i) = pre.binary_search_by_key(&node, |&(m, _)| m) {
+                pre.insert(i, (node, reported_sbe_vector(fleet, node)));
+            }
+        }
+    }
+
+    /// Applies an SBE to the card in `slot`.
+    fn apply_sbe(
+        &mut self,
+        fleet: &mut Fleet,
+        slot: u32,
+        structure: MemoryStructure,
+        page: Option<PageAddress>,
+        retirement_active: bool,
+    ) -> RetireDecision {
+        self.before_sbe_write(fleet, slot);
+        let card = fleet.card_at_slot(slot);
+        fleet
+            .card_mut(card)
+            .apply_sbe(structure, page, retirement_active)
+    }
+
+    /// Reloads the driver of the card in `slot`, flushing its pending
+    /// SBEs when `orderly` and losing them otherwise.
+    fn driver_reload(&mut self, fleet: &mut Fleet, slot: u32, orderly: bool) {
+        self.before_sbe_write(fleet, slot);
+        let card = fleet.card_at_slot(slot);
+        fleet.card_mut(card).inforom.driver_reload(orderly);
+    }
+
+    /// Swaps the card in `slot` for a hot spare (see [`Fleet::swap_out`]).
+    fn swap_out(&mut self, fleet: &mut Fleet, slot: u32) -> Option<(u32, u32)> {
+        self.before_sbe_write(fleet, slot);
+        fleet.swap_out(slot)
     }
 
     fn job_at(&self, node: NodeId) -> Option<u32> {
@@ -673,7 +795,7 @@ impl EngineState {
         st.payloads.extend(snap.payload_tail.iter().copied());
         st.heap = snap.heap.iter().copied().map(Reverse).collect();
         st.fleet.restore(&snap.fleet);
-        st.jobs = JobTable::from_snapshot(&snap.jobs);
+        st.jobs = JobTable::from_snapshot(&snap.jobs, &st.schedule)?;
         st.sim_rng = StdRng::from_state(snap.sim_rng);
         st.cascade_rng = StdRng::from_state(snap.cascade_rng);
         st.spare_rng = StdRng::from_state(snap.spare_rng);
@@ -773,7 +895,7 @@ impl EngineState {
                     let Some(job) = schedule.jobs.get(j as usize) else {
                         continue;
                     };
-                    jobs.start(j, job, fleet, obs);
+                    jobs.start(j, job, obs);
                     obs.reg
                         .set_max(cat.engine.active_jobs_high_water, jobs.active.len() as u64);
                     obs.reg.observe(cat.engine.job_nodes, job.nodes.len() as u64);
@@ -838,7 +960,7 @@ impl EngineState {
                     if let Some(j) = jobs.job_at(node) {
                         jobs.end(j, t, schedule, fleet, out, obs);
                     }
-                    fleet.card_mut(card).inforom.driver_reload(persisted);
+                    jobs.driver_reload(fleet, slot, persisted);
                     // The node repair/reboot is instantaneous in sim
                     // time; the span still marks where it happened.
                     obs.trace.record(Span {
@@ -936,7 +1058,7 @@ impl EngineState {
                         jobs.end(j, t, schedule, fleet, out, obs);
                     }
                     // Node reboots after repair; volatile counters clear.
-                    fleet.card_mut(card).inforom.driver_reload(false);
+                    jobs.driver_reload(fleet, slot, false);
                     obs.trace.record(Span {
                         kind: SpanKind::RepairReboot,
                         start: t,
@@ -999,9 +1121,8 @@ impl EngineState {
                     obs.health.on_sbe(u64::from(card), t, ev_id);
                     let page = hot_page.map(PageAddress);
                     let retirement_active = t >= calibration::retirement_xid_introduced();
-                    let decision = fleet
-                        .card_mut(card)
-                        .apply_sbe(structure, page, retirement_active);
+                    let decision =
+                        jobs.apply_sbe(fleet, slot, structure, page, retirement_active);
                     if let Some(c) = out.truth.sbe_by_card.get_mut(card as usize) {
                         *c += 1;
                     }
@@ -1249,7 +1370,7 @@ impl EngineState {
                         );
                         continue;
                     }
-                    if let Some((old_card, new_card)) = fleet.swap_out(slot) {
+                    if let Some((old_card, new_card)) = jobs.swap_out(fleet, slot) {
                         obs.reg.inc(cat.engine.swaps_fired);
                         obs.ts.inc(TsSeries::SwapsFired, t);
                         let sid = obs.stream.mint(
@@ -2034,6 +2155,242 @@ mod tests {
             assert!(seen.insert(o.card), "card {} had two OTBs", o.card);
         }
         assert!(!out.truth.otb.is_empty(), "no OTB in 120 epidemic days");
+    }
+
+    /// Hand-built jobs: job `i` has apid `i` and runs on `slots[i]`, in
+    /// that node order.
+    fn hand_schedule(fleet: &Fleet, slots: &[&[u32]]) -> WorkloadSchedule {
+        let jobs = (0u64..)
+            .zip(slots)
+            .map(|(apid, slots)| ScheduledJob {
+                spec: titan_workload::JobSpec {
+                    apid,
+                    user: 1,
+                    nodes: slots.len() as u32,
+                    submit: 100,
+                    wall: 1_000,
+                    mem_max_bytes: 0,
+                    gpu_util: 1.0,
+                    is_debug: false,
+                },
+                start: 100,
+                end: 1_100,
+                nodes: slots.iter().map(|&s| fleet.node_of_slot(s)).collect(),
+            })
+            .collect();
+        WorkloadSchedule { jobs, dropped: 0 }
+    }
+
+    /// The eager reference's nvidia-smi reading of every node of `job`.
+    fn read_all(fleet: &Fleet, job: &ScheduledJob) -> Vec<GpuSnapshot> {
+        job.nodes
+            .iter()
+            .map(|&n| {
+                let slot = node_to_gpu_index(n).expect("compute node");
+                GpuSnapshot::take(n, fleet.card(fleet.card_at_slot(slot)), 0)
+            })
+            .collect()
+    }
+
+    /// Runs one hand-built job on `slots` (job node order) twice over
+    /// the same fleet history: through the engine's copy-on-first-write
+    /// [`JobTable`], and through the eager [`titan_nvsmi::JobSnapshotFramework`]
+    /// reference, which snapshots every node before and after the job.
+    /// `before` shapes the fleet ahead of the job, `during` mutates it
+    /// through the engine's counter-changing paths while the job runs.
+    /// Asserts the two deltas are equal and returns the engine's.
+    fn differential(
+        slots: &[u32],
+        before: impl FnOnce(&mut Fleet),
+        during: impl FnOnce(&mut JobTable, &mut Fleet),
+    ) -> JobEccDelta {
+        let mut fleet = Fleet::new(1, &mut StdRng::seed_from_u64(9));
+        before(&mut fleet);
+        let schedule = hand_schedule(&fleet, &[slots]);
+        let job = &schedule.jobs[0];
+        let mut reference = titan_nvsmi::JobSnapshotFramework::new();
+        reference.record_pre(0, read_all(&fleet, job));
+
+        let mut obs = Obs::disabled();
+        let mut out = SimOutput::default();
+        let mut jobs = JobTable::new(1);
+        jobs.start(0, job, &mut obs);
+        during(&mut jobs, &mut fleet);
+        jobs.end(0, 1_100, &schedule, &fleet, &mut out, &mut obs);
+
+        let want = reference
+            .complete(0, &read_all(&fleet, job))
+            .expect("same nodes before and after");
+        assert_eq!(out.job_sbe, vec![want]);
+        out.job_sbe.remove(0)
+    }
+
+    fn node_sbe(d: &JobEccDelta, slot: u32) -> u64 {
+        let node = titan_topology::gpu_index_to_node(slot);
+        d.per_node_sbe
+            .iter()
+            .find(|(n, _)| *n == node)
+            .map_or(0, |&(_, c)| c)
+    }
+
+    /// Nodes whose counters never change during the job keep their
+    /// dense zero rows, in job node order.
+    #[test]
+    fn untouched_nodes_emit_zero_rows() {
+        let slots = [7, 2, 5, 0];
+        let d = differential(
+            &slots,
+            |fleet| {
+                // History from before the job must not count.
+                for _ in 0..3 {
+                    fleet
+                        .card_mut(2)
+                        .apply_sbe(MemoryStructure::L2Cache, None, true);
+                }
+            },
+            |_, _| {},
+        );
+        let order: Vec<u32> = d.per_node_sbe.iter().map(|(n, _)| n.0).collect();
+        let want: Vec<u32> = slots
+            .iter()
+            .map(|&s| titan_topology::gpu_index_to_node(s).0)
+            .collect();
+        assert_eq!(order, want);
+        assert_eq!(d.total_sbe(), 0);
+    }
+
+    /// SBEs during the job count once per error, per structure.
+    #[test]
+    fn mid_job_sbes_are_attributed() {
+        let d = differential(
+            &[7, 2, 5, 0],
+            |_| {},
+            |jobs, fleet| {
+                jobs.apply_sbe(fleet, 5, MemoryStructure::L2Cache, None, true);
+                jobs.apply_sbe(fleet, 5, MemoryStructure::L2Cache, None, true);
+                jobs.apply_sbe(fleet, 0, MemoryStructure::DeviceMemory, None, true);
+            },
+        );
+        assert_eq!(node_sbe(&d, 5), 2);
+        assert_eq!(node_sbe(&d, 0), 1);
+        assert_eq!(d.total_sbe(), 3);
+    }
+
+    /// SBEs still pending from before the job are lost to a crash reload
+    /// while it runs: the delta saturates at zero instead of crediting
+    /// the job with the re-accumulated count (the undercount pathology).
+    #[test]
+    fn crash_reload_mid_job_saturates() {
+        let d = differential(
+            &[3, 4],
+            |fleet| {
+                for _ in 0..3 {
+                    fleet
+                        .card_mut(3)
+                        .apply_sbe(MemoryStructure::L2Cache, None, true);
+                }
+            },
+            |jobs, fleet| {
+                jobs.driver_reload(fleet, 3, false);
+                jobs.apply_sbe(fleet, 3, MemoryStructure::L2Cache, None, true);
+                jobs.apply_sbe(fleet, 3, MemoryStructure::L2Cache, None, true);
+                jobs.apply_sbe(fleet, 3, MemoryStructure::RegisterFile, None, true);
+            },
+        );
+        // L2: 3 before, 2 after → 0; register file: 0 → 1.
+        assert_eq!(node_sbe(&d, 3), 1);
+        assert_eq!(d.structure_sbe(MemoryStructure::L2Cache), 0);
+    }
+
+    /// An orderly reload or a flush moves pending SBEs into the
+    /// aggregate without changing what nvidia-smi reports: nothing is
+    /// counted twice.
+    #[test]
+    fn orderly_reload_mid_job_counts_once() {
+        let d = differential(
+            &[3, 4],
+            |fleet| {
+                fleet
+                    .card_mut(4)
+                    .apply_sbe(MemoryStructure::L2Cache, None, true);
+            },
+            |jobs, fleet| {
+                jobs.apply_sbe(fleet, 4, MemoryStructure::L2Cache, None, true);
+                let card = fleet.card_at_slot(4);
+                fleet.card_mut(card).inforom.flush_sbe();
+                jobs.apply_sbe(fleet, 4, MemoryStructure::L2Cache, None, true);
+                jobs.driver_reload(fleet, 4, true);
+            },
+        );
+        assert_eq!(node_sbe(&d, 4), 2);
+        assert_eq!(d.total_sbe(), 2);
+    }
+
+    /// A hot-spare swap mid-job puts a different card under the node:
+    /// the epilogue reads the new card against the pulled card's
+    /// prologue reading. The spare arrives with more reported SBEs than
+    /// the card it replaces, so a swap that skipped the prologue copy
+    /// would credit the job with 0 instead of the difference.
+    #[test]
+    fn hot_spare_swap_mid_job_diffs_against_the_pulled_card() {
+        let spare = u32::try_from(titan_topology::COMPUTE_NODES).expect("fits");
+        let d = differential(
+            &[9, 6],
+            |fleet| {
+                fleet
+                    .card_mut(9)
+                    .apply_sbe(MemoryStructure::L2Cache, None, true);
+                for _ in 0..5 {
+                    fleet
+                        .card_mut(spare)
+                        .apply_sbe(MemoryStructure::L2Cache, None, true);
+                }
+                fleet
+                    .card_mut(spare)
+                    .apply_sbe(MemoryStructure::DeviceMemory, None, true);
+            },
+            |jobs, fleet| {
+                assert_eq!(jobs.swap_out(fleet, 9), Some((9, spare)));
+                jobs.apply_sbe(fleet, 9, MemoryStructure::RegisterFile, None, true);
+            },
+        );
+        // L2 1 → 5, device memory 0 → 1, register file 0 → 1.
+        assert_eq!(node_sbe(&d, 9), 6);
+        assert_eq!(node_sbe(&d, 6), 0);
+    }
+
+    /// A queued job starts in the same second its predecessor releases
+    /// a shared node, and starts dispatch before same-second ends: for
+    /// that second both jobs hold the node, and the eager prologue and
+    /// epilogue credit an SBE landing then to both.
+    #[test]
+    fn same_second_handoff_credits_both_jobs() {
+        let mut fleet = Fleet::new(1, &mut StdRng::seed_from_u64(9));
+        let schedule = hand_schedule(&fleet, &[&[1, 2], &[2, 3]]);
+        let (a, b) = (&schedule.jobs[0], &schedule.jobs[1]);
+        let mut reference = titan_nvsmi::JobSnapshotFramework::new();
+        let mut obs = Obs::disabled();
+        let mut out = SimOutput::default();
+        let mut jobs = JobTable::new(2);
+        let mut want = Vec::new();
+
+        reference.record_pre(0, read_all(&fleet, a));
+        jobs.start(0, a, &mut obs);
+        jobs.apply_sbe(&mut fleet, 1, MemoryStructure::L2Cache, None, true);
+        // The handoff second: B starts, an SBE lands on the shared
+        // node, then A ends.
+        reference.record_pre(1, read_all(&fleet, b));
+        jobs.start(1, b, &mut obs);
+        jobs.apply_sbe(&mut fleet, 2, MemoryStructure::L2Cache, None, true);
+        want.extend(reference.complete(0, &read_all(&fleet, a)));
+        jobs.end(0, 1_100, &schedule, &fleet, &mut out, &mut obs);
+        jobs.apply_sbe(&mut fleet, 2, MemoryStructure::RegisterFile, None, true);
+        want.extend(reference.complete(1, &read_all(&fleet, b)));
+        jobs.end(1, 1_100, &schedule, &fleet, &mut out, &mut obs);
+
+        assert_eq!(out.job_sbe, want);
+        assert_eq!(out.job_sbe[0].total_sbe(), 2, "A: its own SBE and the handoff one");
+        assert_eq!(out.job_sbe[1].total_sbe(), 2, "B: the handoff SBE and its own");
     }
 
     /// Checkpoint contract, engine level: pausing at a boundary,

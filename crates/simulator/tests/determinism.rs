@@ -96,3 +96,50 @@ fn wire_formats_are_byte_pinned() {
         "aprun log bytes moved"
     );
 }
+
+/// `titan_runner::output_digest`, restated over the simulator's own
+/// writers: FNV-1a over the serialized output, then the three logs.
+fn output_digest(out: &titan_sim::SimOutput) -> u64 {
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = s.bytes().fold(self.0, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+            Ok(())
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let json = serde_json::to_string(out).expect("output serializes");
+    std::fmt::Write::write_str(&mut h, &json).expect("fnv writer is infallible");
+    titan_conlog::write_log(&mut h, &out.console);
+    titan_conlog::write_job_log(&mut h, &out.jobs);
+    titan_conlog::write_aprun_log(&mut h, &out.apruns);
+    h.0
+}
+
+/// The per-job nvidia-smi SBE attribution (`job_sbe`) and the whole
+/// output digest of one short study are pinned byte for byte, so a
+/// change to how the engine takes its prologue/epilogue readings cannot
+/// move a single delta. The window must exercise both paths that matter:
+/// jobs that gained SBEs, and jobs a DBE crashed mid-run.
+#[test]
+fn job_sbe_attribution_is_byte_pinned() {
+    let out = Simulator::new(SimConfig::quick(20, 5)).unwrap().run();
+    assert!(
+        out.job_sbe.iter().any(|d| d.total_sbe() > 0),
+        "no job gained an SBE in the pinned window"
+    );
+    assert!(
+        out.truth.dbe.iter().any(|d| d.crashed_apid.is_some()),
+        "no DBE crashed a running job in the pinned window"
+    );
+    let job_sbe = serde_json::to_string(&out.job_sbe).expect("job_sbe serializes");
+    assert_eq!(
+        (job_sbe.len(), fnv1a(job_sbe.as_bytes())),
+        (12_889_038, 0x8190_f98f_e593_887a),
+        "job_sbe bytes moved"
+    );
+    assert_eq!(output_digest(&out), 0xc0ac_2c95_d0b1_3b21, "output_digest moved");
+}
+

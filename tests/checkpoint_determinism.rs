@@ -185,6 +185,145 @@ fn corrupted_checkpoint_fails_cleanly() {
     assert!(!stderr.contains("panicked"), "corruption caused a panic:\n{stderr}");
 }
 
+/// The text of a real checkpoint (12-day window, boundary at day 4),
+/// written once and shared by the hostile-checkpoint tests.
+fn base_checkpoint() -> &'static str {
+    static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    TEXT.get_or_init(|| {
+        let dir = tmp("hostile_base");
+        run_in(
+            &dir,
+            "1",
+            &[
+                "run", "--days", "12", "--seed", "3", "--checkpoint-every", "345600", // 4 d
+                "--ckpt-dir", "ckpts",
+            ],
+        );
+        std::fs::read_to_string(dir.join("ckpts").join("ckpt-000000.json")).expect("checkpoint")
+    })
+}
+
+/// The named field of a JSON object.
+fn field_mut<'a>(v: &'a mut serde::Value, name: &str) -> &'a mut serde::Value {
+    match v {
+        serde::Value::Object(o) => {
+            &mut o.iter_mut().find(|(k, _)| k == name).expect(name).1
+        }
+        _ => panic!("{name}: parent is not an object"),
+    }
+}
+
+/// The base checkpoint with the engine's `pre_sbe` list of the first
+/// job running at the boundary replaced by `edit(job, node_job)`, where
+/// `node_job[n]` is the job holding node `n`.
+fn edit_pre_sbe(edit: impl FnOnce(u64, &[serde::Value]) -> serde::Value) -> serde::Value {
+    use serde::Value;
+    let mut doc: Value = serde_json::from_str(base_checkpoint().trim_end()).expect("json");
+    let jobs = field_mut(field_mut(&mut doc, "engine"), "jobs");
+    let Value::Array(node_job) = jobs.get_field("node_job").clone() else {
+        panic!("node_job: not an array");
+    };
+    let Value::Array(states) = field_mut(jobs, "state") else {
+        panic!("state: not an array");
+    };
+    let (j, state) = states
+        .iter_mut()
+        .enumerate()
+        .find(|(_, st)| st.get_field("pre_sbe") != &Value::Null)
+        .expect("a job running at the checkpoint");
+    *field_mut(state, "pre_sbe") = edit(j as u64, &node_job);
+    doc
+}
+
+/// Resumes from `text` and returns stderr, asserting the run was
+/// refused without a panic.
+fn refused(name: &str, text: &str) -> String {
+    let dir = tmp(name);
+    let path = dir.join("ckpt.json");
+    std::fs::write(&path, text).expect("write checkpoint");
+    let out = Command::new(bin())
+        .args(["run", "--from-checkpoint", path.to_str().expect("utf8 path")])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn titan-repro");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!out.status.success(), "{name}: hostile checkpoint was accepted");
+    assert!(
+        !stderr.contains("panicked"),
+        "{name}: panic on resume:\n{stderr}"
+    );
+    stderr
+}
+
+/// Seals an edited document that still has the current shape: the
+/// chained digest is recomputed, so only the engine's own checks can
+/// refuse it.
+fn resealed(doc: &serde::Value) -> String {
+    let text = serde_json::to_string(doc).expect("serialize");
+    let mut doc: titan_runner::CheckpointDoc =
+        serde_json::from_str(&text).expect("current shape");
+    doc.digest = titan_runner::checkpoint_digest(&doc);
+    titan_runner::render_checkpoint(&doc)
+}
+
+fn entry(node: &serde::Value) -> serde::Value {
+    let zeros = vec![serde::Value::UInt(0); 5];
+    serde::Value::Array(vec![node.clone(), serde::Value::Array(zeros)])
+}
+
+/// Nodes of the job `j` according to `node_job`.
+fn job_nodes(j: u64, node_job: &[serde::Value]) -> Vec<serde::Value> {
+    (0u64..)
+        .zip(node_job)
+        .filter(|(_, held)| **held == serde::Value::UInt(j))
+        .map(|(n, _)| serde::Value::UInt(n))
+        .collect()
+}
+
+/// A checkpoint whose engine keeps a reading of every node of a running
+/// job (the dense nvidia-smi prologue of earlier builds) no longer
+/// parses: resuming from it fails with a clean error, not a panic.
+#[test]
+fn dense_prologue_checkpoint_is_refused() {
+    let doc = edit_pre_sbe(|j, node_job| {
+        let zeros = serde::Value::Array(vec![serde::Value::UInt(0); 5]);
+        serde::Value::Array(vec![zeros; job_nodes(j, node_job).len()])
+    });
+    let text = serde_json::to_string(&doc).expect("serialize") + "\n";
+    let stderr = refused("hostile_dense", &text);
+    assert!(
+        stderr.contains("checkpoint parse"),
+        "expected a parse error, got:\n{stderr}"
+    );
+}
+
+/// A prologue reading for a node the job does not hold is refused.
+#[test]
+fn prologue_reading_for_a_foreign_node_is_refused() {
+    let doc = edit_pre_sbe(|j, node_job| {
+        let foreign = (0u64..)
+            .zip(node_job)
+            .find(|(_, held)| **held != serde::Value::UInt(j))
+            .map(|(n, _)| serde::Value::UInt(n))
+            .expect("a node outside the job");
+        serde::Value::Array(vec![entry(&foreign)])
+    });
+    let stderr = refused("hostile_foreign", &resealed(&doc));
+    assert!(stderr.contains("does not hold"), "unexpected error:\n{stderr}");
+}
+
+/// Two prologue readings for the same node are refused.
+#[test]
+fn duplicate_prologue_reading_is_refused() {
+    let doc = edit_pre_sbe(|j, node_job| {
+        let nodes = job_nodes(j, node_job);
+        let node = nodes.first().expect("the job holds a node");
+        serde::Value::Array(vec![entry(node), entry(node)])
+    });
+    let stderr = refused("hostile_duplicate", &resealed(&doc));
+    assert!(stderr.contains("twice"), "unexpected error:\n{stderr}");
+}
+
 /// Acceptance: `ckpt bisect` pins an injected divergence to
 /// the single checkpoint interval that contains it, and reports clean
 /// agreement for identical runs.
