@@ -1,7 +1,7 @@
 //! The typed console event — what one SEC-filtered console-log line means.
 
 use serde::{Deserialize, Serialize};
-use titan_gpu::{GpuErrorKind, MemoryStructure};
+use titan_gpu::{ErrorCategory, GpuErrorKind, MemoryStructure};
 use titan_topology::NodeId;
 
 use crate::time::SimTime;
@@ -46,6 +46,12 @@ impl ConsoleEvent {
             | PreemptiveCleanup => Severity::Warning,
             _ => Severity::Critical,
         }
+    }
+
+    /// Whether the line reports a Table-1 hardware error (the class the
+    /// online spatial heat grid counts).
+    pub fn is_hardware(&self) -> bool {
+        matches!(self.kind.category(), ErrorCategory::Hardware)
     }
 }
 

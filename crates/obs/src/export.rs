@@ -13,13 +13,14 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use crate::series::TsSeries;
-use crate::trace::TraceRing;
-use crate::Obs;
+use crate::{Obs, GRID_SECS};
 
 /// Current schema identifier written into every document. `/2` added
-/// the `timeseries` section (fixed sim-time buckets of a curated
-/// counter subset) on top of `/1`.
-pub const SCHEMA: &str = "titan-obs/2";
+/// the `timeseries` section on top of `/1`; `/3` dropped the `spans`
+/// section (its per-kind totals equal the `ev_job_start`, `ev_dbe +
+/// ev_otb`, `ev_retire_record` and `swaps_fired` counters, and its
+/// retained tail duplicated the last job-log records).
+pub const SCHEMA: &str = "titan-obs/3";
 
 /// Snapshot of one fixed-bucket histogram.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,70 +35,13 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
-/// One retained span, with the kind rendered as its stable name.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpanRecord {
-    /// Stable kind name (see [`crate::SpanKind::name`]).
-    pub kind: String,
-    /// Sim time the span opened.
-    pub start: u64,
-    /// Sim time the span closed.
-    pub end: u64,
-    /// Primary identifier.
-    pub key: u64,
-    /// Secondary payload.
-    pub extra: u64,
-}
-
-/// Span-ring summary: exact totals plus the retained tail.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceSummary {
-    /// Ring capacity the run used.
-    pub capacity: u64,
-    /// Spans ever recorded.
-    pub recorded: u64,
-    /// Spans evicted once the ring filled.
-    pub dropped: u64,
-    /// Exact per-kind totals (all kinds present, even at zero).
-    pub by_kind: BTreeMap<String, u64>,
-    /// The retained spans, oldest first.
-    pub recent: Vec<SpanRecord>,
-}
-
-impl TraceSummary {
-    /// Summarizes a ring.
-    pub fn from_ring(ring: &TraceRing) -> Self {
-        let mut by_kind = BTreeMap::new();
-        for (kind, count) in ring.counts_by_kind() {
-            by_kind.insert(kind.name().to_string(), count);
-        }
-        TraceSummary {
-            capacity: ring.capacity() as u64,
-            recorded: ring.recorded(),
-            dropped: ring.dropped(),
-            by_kind,
-            recent: ring
-                .spans()
-                .iter()
-                .map(|s| SpanRecord {
-                    kind: s.kind.name().to_string(),
-                    start: s.start,
-                    end: s.end,
-                    key: s.key,
-                    extra: s.extra,
-                })
-                .collect(),
-        }
-    }
-}
-
 /// The `timeseries` section: fixed sim-time buckets of the curated
 /// counter subset ([`TsSeries::ALL`]). Every series is padded to the
 /// same length (`buckets`), covering the whole window, so the buckets
 /// of each series sum exactly to the run-end counter of the same name.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimeSeriesDoc {
-    /// Bucket width in sim seconds (default one week).
+    /// Bucket width in sim seconds ([`GRID_SECS`]).
     pub bucket_secs: u64,
     /// Bucket count (`ceil(window / bucket_secs)`).
     pub buckets: u64,
@@ -124,8 +68,6 @@ pub struct MetricsDoc {
     pub nvsmi: BTreeMap<String, u64>,
     /// Fixed-bucket histograms by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Span-ring summary.
-    pub spans: TraceSummary,
     /// Time-bucketed counter subset (new in `/2`).
     pub timeseries: TimeSeriesDoc,
 }
@@ -136,9 +78,8 @@ impl MetricsDoc {
     /// unknown section lands in `engine` under `section.name` so it is
     /// never silently lost.
     pub fn from_obs(obs: &Obs, seed: u64, window_days: u64) -> Self {
-        let bucket_secs = obs.ts.bucket_secs();
         let window_secs = window_days * 86_400;
-        let n_buckets = window_secs.div_ceil(bucket_secs).max(1);
+        let n_buckets = window_secs.div_ceil(GRID_SECS).max(1);
         let mut series = BTreeMap::new();
         for s in TsSeries::ALL {
             // lint: allow(N1, bucket count: window/bucket_secs is far below 2^32)
@@ -153,9 +94,8 @@ impl MetricsDoc {
             sec: BTreeMap::new(),
             nvsmi: BTreeMap::new(),
             histograms: BTreeMap::new(),
-            spans: TraceSummary::from_ring(&obs.trace),
             timeseries: TimeSeriesDoc {
-                bucket_secs,
+                bucket_secs: GRID_SECS,
                 buckets: n_buckets,
                 series,
             },
@@ -200,7 +140,7 @@ impl MetricsDoc {
     }
 
     /// Flattens every scalar into `section.name -> f64` (plus
-    /// histogram `hist.<name>.count/sum` and span totals), the shape
+    /// histogram `hist.<name>.count/sum`), the shape
     /// `titan-runner` aggregates into per-seed metric bands.
     pub fn flatten(&self) -> BTreeMap<String, f64> {
         let mut out = BTreeMap::new();
@@ -218,11 +158,6 @@ impl MetricsDoc {
             out.insert(format!("hist.{name}.count"), h.count as f64);
             out.insert(format!("hist.{name}.sum"), h.sum as f64);
         }
-        out.insert("spans.recorded".to_string(), self.spans.recorded as f64);
-        out.insert("spans.dropped".to_string(), self.spans.dropped as f64);
-        for (kind, &count) in &self.spans.by_kind {
-            out.insert(format!("spans.{kind}"), count as f64);
-        }
         out
     }
 }
@@ -230,24 +165,14 @@ impl MetricsDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Span, SpanKind};
+    use crate::CostKind;
 
     fn sample_doc() -> MetricsDoc {
         let mut obs = Obs::enabled();
-        let cat = obs.cat;
-        obs.reg.inc(cat.engine.ev_dbe);
-        obs.reg.add(cat.faults.dbe_drafts, 3);
-        obs.reg.set_max(cat.engine.heap_high_water, 42);
-        obs.reg.observe(cat.faults.cascade_fanout, 2);
-        let dyn_c = obs.reg.counter("sec", "rule_hits.alert_each");
-        obs.reg.add(dyn_c, 7);
-        obs.trace.record(Span {
-            kind: SpanKind::HotSpareSwap,
-            start: 100,
-            end: 200,
-            key: 3,
-            extra: 9001,
-        });
+        obs.dequeue(0, CostKind::Dbe, 42, || 0);
+        obs.draft_stage(0, |tally| tally.add(crate::FaultTally::DbeDrafts, 3));
+        obs.cascade(2);
+        obs.add_counter("sec", "rule_hits.alert_each", 7);
         MetricsDoc::from_obs(&obs, 42, 60)
     }
 
@@ -262,9 +187,6 @@ mod tests {
         let h = doc.histograms.get("cascade_fanout").expect("fanout hist");
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 2);
-        assert_eq!(doc.spans.recorded, 1);
-        assert_eq!(doc.spans.by_kind.get("hot_spare_swap"), Some(&1));
-        assert_eq!(doc.spans.by_kind.get("job_lifecycle"), Some(&0));
     }
 
     #[test]
@@ -272,6 +194,7 @@ mod tests {
         let doc = sample_doc();
         let json = doc.to_json();
         assert!(json.ends_with('\n'));
+        assert!(!json.contains("\"spans\""), "{json}");
         let back: MetricsDoc = serde_json::from_str(&json).expect("round trip");
         assert_eq!(back, doc);
         // Rendering twice is byte-identical.
@@ -281,77 +204,20 @@ mod tests {
     #[test]
     fn timeseries_pads_every_series_to_the_window() {
         let mut obs = Obs::enabled();
-        obs.ts.inc(crate::TsSeries::EvDbe, 0);
-        obs.ts.inc(crate::TsSeries::EvDbe, 8 * 86_400); // second weekly bucket
+        obs.dequeue(0, CostKind::Dbe, 1, || 0);
+        obs.dequeue(8 * 86_400, CostKind::Dbe, 1, || 0); // second weekly bucket
         let doc = MetricsDoc::from_obs(&obs, 1, 60);
-        assert_eq!(doc.schema, "titan-obs/2");
+        assert_eq!(doc.schema, "titan-obs/3");
         let ts = &doc.timeseries;
         assert_eq!(ts.bucket_secs, 7 * 86_400);
         // 60 days / 7-day buckets = 9 buckets (ceil).
         assert_eq!(ts.buckets, 9);
-        for s in crate::TsSeries::ALL {
+        for s in TsSeries::ALL {
             assert_eq!(ts.series[s.name()].len(), 9, "{}", s.name());
         }
         assert_eq!(ts.series["ev_dbe"], vec![1, 1, 0, 0, 0, 0, 0, 0, 0]);
         // Buckets sum to what was counted.
         assert_eq!(ts.series["ev_dbe"].iter().sum::<u64>(), 2);
-    }
-
-    /// Satellite pin: `spans.recent` is oldest→newest at the exact
-    /// capacity boundary — a full-but-unwrapped ring (capacity spans)
-    /// and a just-wrapped one (capacity + 1) both export in record
-    /// order with the oldest survivor first.
-    #[test]
-    fn spans_recent_is_oldest_first_at_capacity_boundaries() {
-        let cap = 4usize;
-        let starts = |doc: &MetricsDoc| -> Vec<u64> {
-            doc.spans.recent.iter().map(|s| s.start).collect()
-        };
-        // Exactly `capacity` spans: nothing evicted, insertion order.
-        let mut obs = Obs::with_span_capacity(true, cap);
-        for t in 0..cap as u64 {
-            obs.trace.record(Span {
-                kind: SpanKind::JobLifecycle,
-                start: t,
-                end: t,
-                key: t,
-                extra: 0,
-            });
-        }
-        let doc = MetricsDoc::from_obs(&obs, 0, 1);
-        assert_eq!(doc.spans.capacity, cap as u64);
-        assert_eq!(doc.spans.dropped, 0);
-        assert_eq!(starts(&doc), vec![0, 1, 2, 3]);
-
-        // `capacity + 1` spans: the oldest evicted, order preserved.
-        obs.trace.record(Span {
-            kind: SpanKind::FaultChain,
-            start: 4,
-            end: 4,
-            key: 4,
-            extra: 0,
-        });
-        let doc = MetricsDoc::from_obs(&obs, 0, 1);
-        assert_eq!(doc.spans.dropped, 1);
-        assert_eq!(starts(&doc), vec![1, 2, 3, 4]);
-        // by_kind totals survive eviction exactly.
-        assert_eq!(doc.spans.by_kind["job_lifecycle"], 4);
-        assert_eq!(doc.spans.by_kind["fault_chain"], 1);
-
-        // Well past capacity: still oldest-first, still exact totals.
-        for t in 5..20u64 {
-            obs.trace.record(Span {
-                kind: SpanKind::JobLifecycle,
-                start: t,
-                end: t,
-                key: t,
-                extra: 0,
-            });
-        }
-        let doc = MetricsDoc::from_obs(&obs, 0, 1);
-        assert_eq!(starts(&doc), vec![16, 17, 18, 19]);
-        assert_eq!(doc.spans.by_kind["job_lifecycle"], 19);
-        assert_eq!(doc.spans.recorded, 20);
     }
 
     #[test]
@@ -362,6 +228,5 @@ mod tests {
         assert_eq!(flat.get("faults.dbe_drafts"), Some(&3.0));
         assert_eq!(flat.get("sec.rule_hits.alert_each"), Some(&7.0));
         assert_eq!(flat.get("hist.cascade_fanout.count"), Some(&1.0));
-        assert_eq!(flat.get("spans.hot_spare_swap"), Some(&1.0));
     }
 }

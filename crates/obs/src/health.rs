@@ -15,7 +15,7 @@
 //! flushing one [`HealthInterval`] record per grid interval plus
 //! [`HealthAlert`] records fired by a declarative rule set.
 //!
-//! Determinism contract (the same one `titan-obs/2` and `titan-trace/1`
+//! Determinism contract (the same one `titan-obs/3` and `titan-trace/1`
 //! obey):
 //!
 //! * **pure observer** — a run with health collection on is
@@ -47,10 +47,6 @@ use crate::flight::TraceRecord;
 
 /// Frozen schema identifier of the health doc (S1-guarded).
 pub const HEALTH_SCHEMA: &str = "titan-health/1";
-
-/// Default interval grid: weekly, matching the `titan-obs/2` timeseries
-/// bucket so the two surfaces line up.
-pub const DEFAULT_HEALTH_INTERVAL_SECS: u64 = 7 * 86_400;
 
 /// Rolling-MTBF span: the newest `ROLL_INTERVALS` flushed intervals.
 const ROLL_INTERVALS: usize = 4;
@@ -120,7 +116,7 @@ pub struct HealthEvent {
 
 /// Declarative alert rules. Serialized (serde-derived JSON) into the
 /// doc header so every alert stream documents the rule set that
-/// produced it; [`rules_from_json`] parses the same shape back.
+/// produced it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum HealthRule {
     /// `count` events of `class` inside a sliding `window_secs` window.
@@ -211,11 +207,6 @@ pub fn rules_to_json(rules: &[HealthRule]) -> String {
     let mut s = serde_json::to_string_pretty(&rules.to_vec()).unwrap_or_else(|_| "[]".to_string());
     s.push('\n');
     s
-}
-
-/// Parses a rule set rendered by [`rules_to_json`].
-pub fn rules_from_json(text: &str) -> Result<Vec<HealthRule>, String> {
-    serde_json::from_str(text).map_err(|e| format!("health rules: {e}"))
 }
 
 /// First line of a `titan-health/1` JSONL doc.
@@ -490,14 +481,16 @@ pub struct HealthSink {
 }
 
 impl HealthSink {
-    /// A sink on the default weekly grid with the default rule set.
+    /// A sink on the shared [`crate::GRID_SECS`] grid with the default
+    /// rule set.
     pub fn new(enabled: bool) -> Self {
-        HealthSink::with_rules(enabled, DEFAULT_HEALTH_INTERVAL_SECS, olcf_default_rules())
+        HealthSink::with_rules(enabled, olcf_default_rules())
     }
 
-    /// A sink with an explicit grid and rule set.
-    pub fn with_rules(enabled: bool, interval_secs: u64, rules: Vec<HealthRule>) -> Self {
-        let interval_secs = interval_secs.max(1);
+    /// A sink on the shared [`crate::GRID_SECS`] grid with an explicit
+    /// rule set.
+    pub fn with_rules(enabled: bool, rules: Vec<HealthRule>) -> Self {
+        let interval_secs = crate::GRID_SECS;
         let rule_state = rules.iter().map(|_| RuleState::default()).collect();
         let burst_target = vec![None; rules.len()];
         HealthSink {
@@ -532,6 +525,16 @@ impl HealthSink {
             alerts_interval: 0,
             records: Vec::new(),
         }
+    }
+
+    /// A sink on a narrower grid, so unit tests cross interval
+    /// boundaries in a few events.
+    #[cfg(test)]
+    fn with_grid(enabled: bool, interval_secs: u64, rules: Vec<HealthRule>) -> Self {
+        let mut h = HealthSink::with_rules(enabled, rules);
+        h.interval_secs = interval_secs;
+        h.next_boundary = interval_secs;
+        h
     }
 
     /// Whether the sink is collecting.
@@ -1401,7 +1404,7 @@ mod tests {
 
     #[test]
     fn intervals_flush_on_the_absolute_grid() {
-        let mut h = HealthSink::with_rules(true, 100, quiet_rules());
+        let mut h = HealthSink::with_grid(true, 100, quiet_rules());
         // The engine ticks the loop clock before feeding each event.
         h.tick(10);
         h.on_console(ev(10, "dbe", 2, 3, 1));
@@ -1430,7 +1433,7 @@ mod tests {
 
     #[test]
     fn rolling_mtbf_spans_the_newest_four_intervals() {
-        let mut h = HealthSink::with_rules(true, 100, quiet_rules());
+        let mut h = HealthSink::with_grid(true, 100, quiet_rules());
         // 4 events in [0,100), nothing afterwards.
         for t in [10, 20, 30, 40] {
             h.on_console(ev(t, "dbe", 0, 0, 0));
@@ -1453,7 +1456,7 @@ mod tests {
             count: 3,
             window_secs: 60,
         }];
-        let mut h = HealthSink::with_rules(true, 1_000, rules);
+        let mut h = HealthSink::with_grid(true, 1_000, rules);
         for t in [10, 20, 30] {
             h.on_console(ev(t, "dbe", 0, 0, t));
         }
@@ -1485,7 +1488,7 @@ mod tests {
             count: 3,
             window_secs: 60,
         }];
-        let mut h = HealthSink::with_rules(true, 10_000, rules);
+        let mut h = HealthSink::with_grid(true, 10_000, rules);
         for t in [10, 20, 30, 200, 210, 220] {
             h.on_console(ev(t, "dbe", 0, 0, t));
         }
@@ -1497,7 +1500,7 @@ mod tests {
     #[test]
     fn latched_rules_fire_once() {
         let rules = vec![HealthRule::SpareDepletion { below: 5 }];
-        let mut h = HealthSink::with_rules(true, 1_000, rules);
+        let mut h = HealthSink::with_grid(true, 1_000, rules);
         h.set_spares_baseline(6);
         h.on_swap(10, 4, 1);
         h.on_swap(20, 3, 2);
@@ -1515,7 +1518,7 @@ mod tests {
             class: "dbe".to_string(),
             secs: 100.0,
         }];
-        let mut h = HealthSink::with_rules(true, 100, rules);
+        let mut h = HealthSink::with_grid(true, 100, rules);
         for t in [10, 20] {
             h.on_console(ev(t, "dbe", 0, 0, 40 + t));
         }
@@ -1531,7 +1534,7 @@ mod tests {
     #[test]
     fn offender_share_tracks_top_cards() {
         let rules = vec![HealthRule::OffenderShare { min_pct: 50.0 }];
-        let mut h = HealthSink::with_rules(true, 1_000, rules);
+        let mut h = HealthSink::with_grid(true, 1_000, rules);
         // Card 7 hoards SBEs; 11 other cards take one each.
         for i in 0..20 {
             h.on_sbe(7, i, 100 + i);
@@ -1554,7 +1557,7 @@ mod tests {
 
     #[test]
     fn stripe_matches_incident_math() {
-        let mut h = HealthSink::with_rules(true, 1_000_000, quiet_rules());
+        let mut h = HealthSink::with_grid(true, 1_000_000, quiet_rules());
         // One 4-event incident striped on even columns, one lone event.
         for (i, col) in [0u8, 2, 4, 6].into_iter().enumerate() {
             h.on_console(ev(100 + as_u64(i), STRIPE_CLASS, 0, col, 0));
@@ -1576,7 +1579,7 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_and_resumes_identically() {
         let mk = || {
-            let mut h = HealthSink::with_rules(
+            let mut h = HealthSink::with_grid(
                 true,
                 100,
                 vec![HealthRule::Burst {
@@ -1606,7 +1609,7 @@ mod tests {
         let json = serde_json::to_string(&snap).expect("snap json");
         let back: HealthSnap = serde_json::from_str(&json).expect("snap parse");
         assert_eq!(snap, back, "snapshot JSON roundtrip");
-        let mut b = HealthSink::with_rules(
+        let mut b = HealthSink::with_grid(
             true,
             100,
             vec![HealthRule::Burst {
@@ -1629,7 +1632,7 @@ mod tests {
 
     #[test]
     fn render_parse_roundtrip_and_views() {
-        let mut h = HealthSink::with_rules(true, 50, olcf_default_rules());
+        let mut h = HealthSink::with_grid(true, 50, olcf_default_rules());
         h.set_spares_baseline(48);
         for t in 0..30 {
             h.on_console(ev(t, "dbe", 3, 4, t + 1));
@@ -1665,9 +1668,8 @@ mod tests {
         let rules = olcf_default_rules();
         let json = rules_to_json(&rules);
         assert!(json.contains("Burst"), "{json}");
-        let back = rules_from_json(&json).expect("parse rules");
+        let back: Vec<HealthRule> = serde_json::from_str(&json).expect("parse rules");
         assert_eq!(rules, back);
-        assert!(rules_from_json("nonsense").is_err());
     }
 
     fn trace_rec(id: u64, parent: u64, kind: &str) -> TraceRecord {
@@ -1685,7 +1687,7 @@ mod tests {
 
     #[test]
     fn alert_provenance_walks_to_fault_drafts() {
-        let mut h = HealthSink::with_rules(
+        let mut h = HealthSink::with_grid(
             true,
             1_000,
             vec![HealthRule::Burst {
@@ -1714,7 +1716,7 @@ mod tests {
         let dangling = vec![trace_rec(3, 99, "console_line")];
         assert!(verify_health_alerts(&doc, &dangling).is_err());
         // An untraced alert (trace 0) fails with a helpful message.
-        let mut h0 = HealthSink::with_rules(
+        let mut h0 = HealthSink::with_grid(
             true,
             1_000,
             vec![HealthRule::Burst {

@@ -124,8 +124,25 @@ impl CostKind {
         CostKind::ALL.iter().copied().find(|k| k.name() == name)
     }
 
+    /// The `engine` counter of the metrics document that counts this
+    /// kind's dequeues.
+    pub(crate) fn counter_name(self) -> &'static str {
+        match self {
+            CostKind::JobStart => "ev_job_start",
+            CostKind::JobEnd => "ev_job_end",
+            CostKind::Dbe => "ev_dbe",
+            CostKind::Otb => "ev_otb",
+            CostKind::Sbe => "ev_sbe",
+            CostKind::Soft => "ev_soft",
+            CostKind::Child => "ev_child",
+            CostKind::RetireRecord => "ev_retire_record",
+            CostKind::Swap => "ev_swap",
+            CostKind::Horizon => "events_past_horizon",
+        }
+    }
+
     #[inline]
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             CostKind::JobStart => 0,
             CostKind::JobEnd => 1,
@@ -549,7 +566,7 @@ pub struct ProfDoc {
     pub ledger: BTreeMap<String, KindCost>,
     /// Sum over every scope.
     pub totals: KindCost,
-    /// The run's full metrics document (`titan-obs/2`).
+    /// The run's full metrics document (`titan-obs/3`).
     pub metrics: MetricsDoc,
     /// Host wall-clock attribution — the one non-deterministic section,
     /// last on purpose; strip before comparing documents.

@@ -4,8 +4,9 @@
 //! state, or a resumed run's metrics document and trace file would
 //! restart from zero and break the byte-identity contract. An
 //! [`ObsSnapshot`] is a plain-data copy of everything inside an [`Obs`]
-//! sink — counters, gauges, histograms, time-series buckets, the span
-//! ring, and the causal flight recorder including its id watermark —
+//! sink — counters, gauges, histograms, time-series buckets, the causal
+//! flight recorder including its id watermark, the health sink and the
+//! cost ledger —
 //! addressed *by name*, never by handle index, so restore is immune to
 //! registration-order drift.
 //!
@@ -21,25 +22,8 @@ use serde::{Deserialize, Serialize};
 use crate::flight::TraceRecord;
 use crate::health::HealthSnap;
 use crate::prof::ProfSnap;
-use crate::trace::{Span, SpanKind};
-use crate::{Obs, TsSeries};
-
-/// One retained span, flattened for serialization ([`Span`] itself
-/// carries a [`SpanKind`] enum we keep out of the frozen on-disk
-/// schema). `kind` is the index into [`SpanKind::ALL`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpanSnap {
-    /// Index into [`SpanKind::ALL`].
-    pub kind: u8,
-    /// Sim time the span opened.
-    pub start: u64,
-    /// Sim time the span closed.
-    pub end: u64,
-    /// Primary identifier (job id, card serial, slot, node).
-    pub key: u64,
-    /// Secondary payload (node count, cause, serial, class).
-    pub extra: u64,
-}
+use crate::series::TsSeries;
+use crate::Obs;
 
 /// A plain-data copy of one [`Obs`] sink, suitable for embedding in a
 /// checkpoint document. Capture with [`ObsSnapshot::capture`], apply
@@ -54,12 +38,6 @@ pub struct ObsSnapshot {
     hists: Vec<(String, Vec<u64>, Vec<u64>, u64, u64)>,
     /// Raw buckets of every series, in [`TsSeries::ALL`] order.
     timeseries: Vec<Vec<u64>>,
-    /// Retained spans, oldest first.
-    spans: Vec<SpanSnap>,
-    /// Total spans ever recorded (exact, past ring capacity).
-    spans_recorded: u64,
-    /// Exact per-kind span totals, in [`SpanKind::ALL`] order.
-    spans_by_kind: Vec<u64>,
     /// Flight-recorder id watermark (next id to be minted).
     trace_next: u64,
     /// Flight-recorder records minted so far, id order.
@@ -74,11 +52,6 @@ pub struct ObsSnapshot {
     /// artifacts, never long-lived archives, so the field is plain
     /// (the vendored serde_derive supports no `#[serde(default)]`).
     prof: ProfSnap,
-}
-
-fn kind_index(k: SpanKind) -> u8 {
-    // lint: allow(N1, position over a 4-element array fits u8 trivially)
-    SpanKind::ALL.iter().position(|&a| a == k).unwrap_or(0) as u8
 }
 
 impl ObsSnapshot {
@@ -103,32 +76,16 @@ impl ObsSnapshot {
             })
             .collect();
         let timeseries = TsSeries::ALL.iter().map(|&s| obs.ts.series(s).to_vec()).collect();
-        let spans = obs
-            .trace
-            .spans()
-            .iter()
-            .map(|s| SpanSnap {
-                kind: kind_index(s.kind),
-                start: s.start,
-                end: s.end,
-                key: s.key,
-                extra: s.extra,
-            })
-            .collect();
-        let spans_by_kind = obs.trace.counts_by_kind().iter().map(|&(_, v)| v).collect();
         ObsSnapshot {
             counters,
             gauges,
             hists,
             timeseries,
-            spans,
-            spans_recorded: obs.trace.recorded(),
-            spans_by_kind,
             trace_next: obs.stream.next_id(),
             trace_records: obs.stream.records().to_vec(),
             trace_console: obs.stream.console_pairs().to_vec(),
             health: obs.health.snap(),
-            prof: obs.prof_snap(),
+            prof: obs.prof.snap(),
         }
     }
 
@@ -161,70 +118,44 @@ impl ObsSnapshot {
         for (&series, buckets) in TsSeries::ALL.iter().zip(self.timeseries.iter()) {
             obs.ts.restore(series, buckets);
         }
-        let spans: Vec<Span> = self
-            .spans
-            .iter()
-            .map(|s| Span {
-                kind: SpanKind::ALL
-                    .get(s.kind as usize)
-                    .copied()
-                    .unwrap_or(SpanKind::JobLifecycle),
-                start: s.start,
-                end: s.end,
-                key: s.key,
-                extra: s.extra,
-            })
-            .collect();
-        let mut by_kind = [0u64; 4];
-        for (slot, &v) in by_kind.iter_mut().zip(self.spans_by_kind.iter()) {
-            *slot = v;
-        }
-        obs.trace.restore(&spans, self.spans_recorded, by_kind);
         obs.stream.restore(
             self.trace_next,
             self.trace_records.clone(),
             self.trace_console.clone(),
         );
         obs.health.restore(&self.health);
-        obs.prof_restore(&self.prof);
+        obs.prof.restore(&self.prof);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flight::TraceKind;
+    use crate::{CostKind, MetricsDoc};
 
     fn populated() -> Obs {
         let mut obs = Obs::enabled();
         obs.enable_trace();
         obs.enable_health();
-        obs.health.set_spares_baseline(48);
-        obs.health.on_sbe(77, 5, 2);
-        obs.health.tick(5);
-        let c = obs.cat.engine.ev_dbe;
-        obs.reg.add(c, 7);
-        obs.reg.set_max(obs.cat.engine.heap_high_water, 41);
-        obs.reg.observe(obs.cat.engine.job_nodes, 16);
-        obs.ts.inc(TsSeries::EvDbe, 100);
-        obs.ts.inc(TsSeries::EvDbe, 100_000_000);
-        obs.trace.record(Span {
-            kind: SpanKind::FaultChain,
-            start: 5,
-            end: 9,
-            key: 77,
-            extra: 1,
-        });
-        let root = obs
-            .stream
-            .mint(TraceKind::FaultDraft, 0, 5, Some(77), None, None, || "dbe".to_string());
-        obs.stream
-            .mint_console(root, 5, Some(77), Some(3), None, || "line".to_string());
         obs.enable_prof();
         obs.phase("engine:workload");
-        obs.prof_rng_direct(42);
-        obs.prof_heap_push(3);
+        obs.setup_draws(42);
+        obs.heap_push(3);
+        obs.event_loop(48);
+        let root = obs.fault_draft(5, || "dbe".to_string());
+        obs.dequeue(100, CostKind::Dbe, 41, || 0);
+        obs.sbe_accepted(root, 100, 77, 3, || "sbe".to_string());
+        obs.dequeue(100_000_000, CostKind::Dbe, 40, || 0);
+        obs.job_start(16, 1, false);
         obs.prof_finish();
+        obs
+    }
+
+    fn observers() -> Obs {
+        let mut obs = Obs::enabled();
+        obs.enable_trace();
+        obs.enable_health();
+        obs.enable_prof();
         obs
     }
 
@@ -232,10 +163,7 @@ mod tests {
     fn roundtrip_restores_every_sink() {
         let src = populated();
         let snap = ObsSnapshot::capture(&src);
-        let mut dst = Obs::enabled();
-        dst.enable_trace();
-        dst.enable_health();
-        dst.enable_prof();
+        let mut dst = observers();
         snap.restore(&mut dst);
         assert!(snap.health_enabled());
         assert!(snap.prof_enabled());
@@ -244,11 +172,10 @@ mod tests {
             42
         );
         assert_eq!(dst.health.snap(), src.health.snap());
-        assert_eq!(dst.reg.counter_value(dst.cat.engine.ev_dbe), 7);
-        assert_eq!(dst.reg.gauge_value(dst.cat.engine.heap_high_water), 41);
-        assert_eq!(dst.ts.series(TsSeries::EvDbe), src.ts.series(TsSeries::EvDbe));
-        assert_eq!(dst.trace.recorded(), 1);
-        assert_eq!(dst.trace.spans(), src.trace.spans());
+        assert_eq!(
+            MetricsDoc::from_obs(&dst, 1, 1200),
+            MetricsDoc::from_obs(&src, 1, 1200)
+        );
         assert_eq!(dst.stream.next_id(), src.stream.next_id());
         assert_eq!(dst.stream.records(), src.stream.records());
         assert_eq!(dst.stream.console_pairs(), src.stream.console_pairs());
@@ -262,11 +189,13 @@ mod tests {
         let snap = ObsSnapshot::capture(&populated());
         let mut dst = Obs::disabled();
         snap.restore(&mut dst);
-        assert_eq!(dst.reg.counter_value(dst.cat.engine.ev_dbe), 0);
-        assert_eq!(dst.trace.recorded(), 0);
+        assert_eq!(
+            MetricsDoc::from_obs(&dst, 1, 1200),
+            MetricsDoc::from_obs(&Obs::disabled(), 1, 1200)
+        );
         assert_eq!(dst.stream.next_id(), 1);
         assert!(dst.stream.records().is_empty());
-        assert!(!dst.health_enabled());
+        assert!(!dst.health.is_enabled());
         assert_eq!(dst.health.snap(), crate::HealthSink::new(false).snap());
     }
 

@@ -4,14 +4,15 @@
 //! the paper tells is about *recovering* long computations — so the
 //! runner can freeze the whole deterministic machine state at fixed
 //! sim-time boundaries and resume it later with **byte-identical**
-//! output: same console log, same `titan-obs/2` metrics document, same
+//! output: same console log, same `titan-obs/3` metrics document, same
 //! `titan-trace/1` flight recording as a run that passed straight
 //! through the boundary (pinned by `tests/checkpoint_determinism.rs`).
 //!
 //! Each checkpoint is one JSON document carrying the engine snapshot
 //! ([`titan_sim::EngineSnapshot`]: heap, payload tail, fleet, job
 //! table, RNG stream positions), the observability snapshot
-//! ([`titan_obs::ObsSnapshot`]: counters, spans, trace-id watermark),
+//! ([`titan_obs::ObsSnapshot`]: counters, timeseries, trace-id
+//! watermark, health and ledger state),
 //! and an FNV-1a digest **chained over the previous checkpoint's
 //! digest** (the `prev_digest` field is part of the hashed bytes). The
 //! chain is what makes [`bisect`] work: because the state at boundary
@@ -66,7 +67,8 @@ pub struct CheckpointDoc {
     pub config: StudyConfig,
     /// The engine state at `t` (heap, fleet, jobs, RNG positions).
     pub engine: EngineSnapshot,
-    /// The observability state at `t` (counters, spans, trace ids).
+    /// The observability state at `t` (counters, timeseries, trace ids,
+    /// health and ledger state).
     pub obs: ObsSnapshot,
 }
 

@@ -32,9 +32,9 @@ use titan_faults::telemetry::{
     dbe_draft_payload, otb_draft_payload, sbe_draft_payload, soft_draft_payload, DbeDraftStats,
     OtbDraftStats, SbeDraftStats, SoftDraftStats,
 };
-use titan_obs::{metric_key, CostKind, HealthEvent, Obs, Span, SpanKind, TraceKind, TsSeries};
+use titan_obs::{metric_key, CostKind, FaultTally, Obs};
 use titan_gpu::pages::{RetireDecision, RetirementCause};
-use titan_gpu::{ErrorCategory, GpuErrorKind, MemoryStructure, PageAddress};
+use titan_gpu::{GpuErrorKind, MemoryStructure, PageAddress};
 use titan_nvsmi::{GpuSnapshot, JobEccDelta};
 use titan_topology::{node_to_gpu_index, NodeId, TOTAL_SLOTS};
 use titan_workload::{ScheduledJob, WorkloadSchedule};
@@ -228,20 +228,13 @@ impl JobTable {
     /// Marks job `j` started: occupies its nodes, moving a predecessor
     /// that still holds one to `handoff`. The nvidia-smi prologue reads
     /// no counters here; [`JobTable::before_sbe_write`] copies a node's
-    /// reading the first time it is about to change.
-    fn start(&mut self, j: u32, job: &ScheduledJob, obs: &mut Obs) {
-        let mut pre = match self.spare_pre.pop() {
-            Some(buf) => {
-                obs.reg.inc(obs.cat.engine.pre_sbe_reuse_hits);
-                buf
-            }
-            None => {
-                obs.reg.inc(obs.cat.engine.pre_sbe_allocs);
-                Vec::new()
-            }
-        };
+    /// reading the first time it is about to change. Returns whether the
+    /// job's prologue buffer was recycled from the spare pool.
+    fn start(&mut self, j: u32, job: &ScheduledJob) -> bool {
+        let reused = !self.spare_pre.is_empty();
+        let mut pre = self.spare_pre.pop().unwrap_or_default();
         let Some(st) = self.state.get_mut(j as usize) else {
-            return;
+            return reused;
         };
         st.started = true;
         st.actual_end = job.end;
@@ -259,14 +252,13 @@ impl JobTable {
                 }
             }
         }
-        // The modelled nvidia-smi prologue reads every node.
-        obs.reg.add(obs.cat.nvsmi.prologue_reads, job.nodes.len() as u64);
         let pos = self.active.len();
         if let Some(p) = self.active_pos.get_mut(j as usize) {
             // lint: allow(N1, active job count is bounded by the schedule length, far below 2^32)
             *p = pos as u32;
         }
         self.active.push(j);
+        reused
     }
 
     /// Ends job `j` at `t` (normal completion or crash), producing the
@@ -345,15 +337,7 @@ impl JobTable {
             per_node_sbe.push((*n, node_total));
         }
         self.spare_pre.push(pre);
-        // The modelled nvidia-smi epilogue reads every node.
-        obs.reg.add(obs.cat.nvsmi.epilogue_reads, job.nodes.len() as u64);
-        obs.trace.record(Span {
-            kind: SpanKind::JobLifecycle,
-            start: job.start,
-            end: t,
-            key: job.spec.apid,
-            extra: job.nodes.len() as u64,
-        });
+        obs.job_end(job.nodes.len() as u64);
         out.job_sbe.push(JobEccDelta {
             apid: job.spec.apid,
             per_node_sbe,
@@ -529,16 +513,13 @@ impl EngineState {
     pub fn new(cfg: &SimConfig, obs: &mut Obs) -> EngineState {
         let streams = RngStreams::new(cfg.seed);
         let window = cfg.window;
-        let cat = obs.cat;
 
         // --- Generate the workload and fault drafts -------------------
         obs.phase("engine:workload");
         let schedule = {
             let mut rng = streams.stream(StreamTag::Workload);
             let schedule = WorkloadSchedule::generate(&cfg.schedule, &mut rng);
-            // Setup streams are local to their block and never reach a
-            // ledger scope switch, so their draws are charged directly.
-            obs.prof_rng_direct(rng.draws());
+            obs.setup_draws(rng.draws());
             schedule
         };
 
@@ -569,27 +550,24 @@ impl EngineState {
         // Bulk attribution: every payload so far is a workload push.
         // lint: allow(N1, usize to u64 is lossless on 64-bit targets)
         let workload_payloads = payloads.len() as u64;
-        obs.prof_heap_push(workload_payloads);
+        obs.heap_push(workload_payloads);
 
         obs.phase("engine:fault_drafts");
         if cfg.enable_dbe {
             let mut rng = streams.stream(StreamTag::Dbe);
             let drafts = DbeProcess::default().sample(&mut rng);
-            obs.prof_rng_direct(rng.draws());
-            if obs.is_enabled() {
+            obs.draft_stage(rng.draws(), |tally| {
                 let s = DbeDraftStats::collect(drafts.iter().filter(|d| d.time < window));
-                obs.reg.add(cat.faults.dbe_drafts, s.total);
-                obs.reg.add(cat.faults.dbe_device_memory, s.device_memory);
-                obs.reg.add(cat.faults.dbe_register_file, s.register_file);
-                obs.reg.add(cat.faults.dbe_inforom_lost, s.inforom_lost);
-            }
+                tally.add(FaultTally::DbeDrafts, s.total);
+                tally.add(FaultTally::DbeDeviceMemory, s.device_memory);
+                tally.add(FaultTally::DbeRegisterFile, s.register_file);
+                tally.add(FaultTally::DbeInforomLost, s.inforom_lost);
+            });
             payloads.reserve(drafts.len());
             heap.reserve(drafts.len());
             for d in drafts {
                 if d.time < window {
-                    let trace = obs.stream.mint(TraceKind::FaultDraft, 0, d.time, None, None, None, || {
-                        dbe_draft_payload(&d)
-                    });
+                    let trace = obs.fault_draft(d.time, || dbe_draft_payload(&d));
                     push(
                         &mut heap,
                         &mut payloads,
@@ -608,20 +586,17 @@ impl EngineState {
         if cfg.enable_otb {
             let mut rng = streams.stream(StreamTag::OffTheBus);
             let drafts = OtbProcess::default().sample(&mut rng);
-            obs.prof_rng_direct(rng.draws());
-            if obs.is_enabled() {
+            obs.draft_stage(rng.draws(), |tally| {
                 let s = OtbDraftStats::collect(drafts.iter().filter(|d| d.time < window));
-                obs.reg.add(cat.faults.otb_drafts, s.total);
-                obs.reg.add(cat.faults.otb_cluster_roots, s.cluster_roots);
-                obs.reg.add(cat.faults.otb_cluster_children, s.cluster_children);
-            }
+                tally.add(FaultTally::OtbDrafts, s.total);
+                tally.add(FaultTally::OtbClusterRoots, s.cluster_roots);
+                tally.add(FaultTally::OtbClusterChildren, s.cluster_children);
+            });
             payloads.reserve(drafts.len());
             heap.reserve(drafts.len());
             for d in drafts {
                 if d.time < window {
-                    let trace = obs.stream.mint(TraceKind::FaultDraft, 0, d.time, None, None, None, || {
-                        otb_draft_payload(&d)
-                    });
+                    let trace = obs.fault_draft(d.time, || otb_draft_payload(&d));
                     push(&mut heap, &mut payloads, d.time, 1, Ev::Otb { trace });
                 }
             }
@@ -629,23 +604,18 @@ impl EngineState {
         if cfg.enable_sbe {
             let mut rng = streams.stream(StreamTag::Sbe);
             let drafts = SbeProcess::default().sample(&mut rng);
-            obs.prof_rng_direct(rng.draws());
-            if obs.is_enabled() {
+            obs.draft_stage(rng.draws(), |tally| {
                 let s = SbeDraftStats::collect(drafts.iter().filter(|d| d.time < window));
-                obs.reg.add(cat.faults.sbe_drafts, s.total);
+                tally.add(FaultTally::SbeDrafts, s.total);
                 for (m, c) in s.per_structure() {
-                    let name = format!("sbe_draft_{}", metric_key(m.label()));
-                    let handle = obs.reg.counter("faults", &name);
-                    obs.reg.add(handle, c);
+                    tally.sbe_structure(&metric_key(m.label()), c);
                 }
-            }
+            });
             payloads.reserve(drafts.len());
             heap.reserve(drafts.len());
             for d in drafts {
                 if d.time < window {
-                    let trace = obs.stream.mint(TraceKind::FaultDraft, 0, d.time, None, None, None, || {
-                        sbe_draft_payload(&d)
-                    });
+                    let trace = obs.fault_draft(d.time, || sbe_draft_payload(&d));
                     push(
                         &mut heap,
                         &mut payloads,
@@ -663,19 +633,16 @@ impl EngineState {
         if cfg.enable_software {
             let mut rng = streams.stream(StreamTag::SoftwareXid);
             let incidents = SoftwareXidModel::default().sample(&mut rng);
-            obs.prof_rng_direct(rng.draws());
-            if obs.is_enabled() {
+            obs.draft_stage(rng.draws(), |tally| {
                 let s = SoftDraftStats::collect(incidents.iter().filter(|i| i.time < window));
-                obs.reg.add(cat.faults.soft_incidents, s.total);
-                obs.reg.add(cat.faults.soft_job_wide, s.job_wide);
-            }
+                tally.add(FaultTally::SoftIncidents, s.total);
+                tally.add(FaultTally::SoftJobWide, s.job_wide);
+            });
             payloads.reserve(incidents.len());
             heap.reserve(incidents.len());
             for inc in incidents {
                 if inc.time < window {
-                    let trace = obs.stream.mint(TraceKind::FaultDraft, 0, inc.time, None, None, None, || {
-                        soft_draft_payload(&inc)
-                    });
+                    let trace = obs.fault_draft(inc.time, || soft_draft_payload(&inc));
                     push(
                         &mut heap,
                         &mut payloads,
@@ -694,13 +661,13 @@ impl EngineState {
         // Bulk attribution: everything pushed since the workload block
         // is a fault-draft payload.
         // lint: allow(N1, usize to u64 is lossless on 64-bit targets)
-        obs.prof_heap_push(initial_payload_len as u64 - workload_payloads);
+        obs.heap_push(initial_payload_len as u64 - workload_payloads);
 
         // --- Runtime state ---------------------------------------------
         let fleet = {
             let mut rng = streams.stream(StreamTag::Susceptibility);
             let fleet = Fleet::new(cfg.spare_cards, &mut rng);
-            obs.prof_rng_direct(rng.draws());
+            obs.setup_draws(rng.draws());
             fleet
         };
         let cascades = if cfg.enable_cascades {
@@ -817,12 +784,8 @@ impl EngineState {
     /// uninterrupted drain — the slicing only decides *when* control
     /// returns, never *what* runs.
     pub fn run_until(&mut self, t_stop: SimTime, obs: &mut Obs) {
-        obs.phase("engine:event_loop");
-        let cat = obs.cat;
-        // Seed the hot-spare gauge before the first swap fires; no-op on
-        // later slices (the baseline latches) and when health is off.
         // lint: allow(N1, usize to u64 is lossless on 64-bit targets)
-        obs.health.set_spares_baseline(self.fleet.n_spares() as u64);
+        obs.event_loop(self.fleet.n_spares() as u64);
         let EngineState {
             cfg,
             schedule,
@@ -848,28 +811,26 @@ impl EngineState {
                 break;
             }
             let _popped = heap.pop();
-            obs.reg.inc(cat.engine.events_dequeued);
-            // Ledger scope switch rides the pop itself — *before* the
-            // health tick and horizon check — so every cost from here to
-            // the next pop is charged to the event being dispatched,
-            // identically in straight and checkpoint-resumed runs.
-            if obs.prof_enabled() {
-                let kind = if t >= window {
-                    CostKind::Horizon
-                } else {
-                    payloads
-                        // lint: allow(N1, seq is minted from payloads.len(), lossless on 64-bit)
-                        .get(seq as usize)
-                        .map(cost_kind)
-                        .unwrap_or(CostKind::Horizon)
-                };
-                obs.prof_event(kind, sim_rng.draws() + cascade_rng.draws() + spare_rng.draws());
-            }
-            // Health grid runs on the monotone loop clock, advanced
-            // *before* the event is fed, so interval boundaries land
-            // identically however `run_until` slices the drain.
-            obs.health.tick(t);
-            obs.reg.set_max(cat.engine.heap_high_water, heap.len() as u64 + 1);
+            // Horizon: everything at/after the window is dropped. Jobs
+            // still running are closed at `window` after the loop;
+            // nothing else may land in the log.
+            let ev = if t < window {
+                // lint: allow(N1, seq is minted from payloads.len(), lossless on 64-bit)
+                payloads.get(seq as usize).copied()
+            } else {
+                None
+            };
+            // The dequeue is observed at the pop itself, before the event
+            // runs: the ledger charges every cost from here to the next
+            // pop to this event's kind, and the health grid advances on
+            // the monotone loop clock, identically however `run_until`
+            // slices the drain.
+            obs.dequeue(
+                t,
+                ev.as_ref().map_or(CostKind::Horizon, cost_kind),
+                heap.len() as u64 + 1,
+                || sim_rng.draws() + cascade_rng.draws() + spare_rng.draws(),
+            );
             if let Some(p) = *divergence_probe {
                 if t >= p {
                     // One stolen draw shifts every subsequent sim_rng
@@ -879,29 +840,18 @@ impl EngineState {
                     *divergence_probe = None;
                 }
             }
-            if t >= window {
-                // Horizon: everything at/after the window is dropped.
-                // Jobs still running are closed at `window` after the
-                // loop; nothing else may land in the log.
-                obs.reg.inc(cat.engine.events_past_horizon);
-                continue;
-            }
-            let Some(ev) = payloads.get(seq as usize).copied() else {
+            let Some(ev) = ev else {
                 continue;
             };
             match ev {
                 Ev::JobStart(j) => {
-                    obs.reg.inc(cat.engine.ev_job_start);
                     let Some(job) = schedule.jobs.get(j as usize) else {
                         continue;
                     };
-                    jobs.start(j, job, obs);
-                    obs.reg
-                        .set_max(cat.engine.active_jobs_high_water, jobs.active.len() as u64);
-                    obs.reg.observe(cat.engine.job_nodes, job.nodes.len() as u64);
+                    let reused = jobs.start(j, job);
+                    obs.job_start(job.nodes.len() as u64, jobs.active.len() as u64, reused);
                 }
                 Ev::JobEnd(j) => {
-                    obs.reg.inc(cat.engine.ev_job_end);
                     jobs.end(j, t, schedule, fleet, out, obs);
                 }
                 Ev::Dbe {
@@ -910,14 +860,11 @@ impl EngineState {
                     persisted,
                     trace,
                 } => {
-                    obs.reg.inc(cat.engine.ev_dbe);
-                    obs.ts.inc(TsSeries::EvDbe, t);
                     let slot = fleet.pick_dbe_slot(sim_rng);
                     let node = fleet.node_of_slot(slot);
                     let card = fleet.card_at_slot(slot);
                     let apid = jobs.apid_at(schedule, node);
-                    let ev_id = obs.stream.mint(
-                        TraceKind::EngineEvent,
+                    let ev_id = obs.engine_event(
                         trace,
                         t,
                         Some(u64::from(card)),
@@ -961,15 +908,6 @@ impl EngineState {
                         jobs.end(j, t, schedule, fleet, out, obs);
                     }
                     jobs.driver_reload(fleet, slot, persisted);
-                    // The node repair/reboot is instantaneous in sim
-                    // time; the span still marks where it happened.
-                    obs.trace.record(Span {
-                        kind: SpanKind::RepairReboot,
-                        start: t,
-                        end: t,
-                        key: node.0 as u64,
-                        extra: 48, // XID 48: double-bit error
-                    });
 
                     if let RetireDecision::Retired(cause) = decision {
                         schedule_retirement(
@@ -979,9 +917,7 @@ impl EngineState {
 
                     // Cascade children (XID 45 and friends).
                     let children = cascades.spawn(GpuErrorKind::DoubleBitError, cascade_rng);
-                    obs.reg.inc(cat.faults.cascade_parents);
-                    obs.reg.add(cat.faults.cascade_children, children.len() as u64);
-                    obs.reg.observe(cat.faults.cascade_fanout, children.len() as u64);
+                    obs.cascade(children.len() as u64);
                     for child in children {
                         let seq2 = payloads.len() as u64;
                         payloads.push(Ev::Child {
@@ -991,7 +927,6 @@ impl EngineState {
                             trace: ev_id,
                         });
                         heap.push(Reverse((t + child.delay, 1, seq2)));
-                        obs.prof_heap_push(1);
                     }
 
                     // Hot-spare policy. The schedule-time checks are a
@@ -1013,12 +948,10 @@ impl EngineState {
                         });
                         // Next maintenance window: 24 h later.
                         heap.push(Reverse((t + 24 * 3600, 1, seq2)));
-                        obs.prof_heap_push(1);
+                        obs.heap_push(1);
                     }
                 }
                 Ev::Otb { trace } => {
-                    obs.reg.inc(cat.engine.ev_otb);
-                    obs.ts.inc(TsSeries::EvOtb, t);
                     let Some(slot) = fleet.pick_otb_slot(sim_rng) else {
                         continue;
                     };
@@ -1026,8 +959,7 @@ impl EngineState {
                     let card = fleet.card_at_slot(slot);
                     let apid = jobs.apid_at(schedule, node);
                     fleet.mark_otb_done(card);
-                    let ev_id = obs.stream.mint(
-                        TraceKind::EngineEvent,
+                    let ev_id = obs.engine_event(
                         trace,
                         t,
                         Some(u64::from(card)),
@@ -1059,21 +991,12 @@ impl EngineState {
                     }
                     // Node reboots after repair; volatile counters clear.
                     jobs.driver_reload(fleet, slot, false);
-                    obs.trace.record(Span {
-                        kind: SpanKind::RepairReboot,
-                        start: t,
-                        end: t,
-                        key: node.0 as u64,
-                        extra: 0, // off the bus (no XID in the paper's tables)
-                    });
                 }
                 Ev::Sbe {
                     structure,
                     hot_page,
                     trace,
                 } => {
-                    obs.reg.inc(cat.engine.ev_sbe);
-                    obs.ts.inc(TsSeries::EvSbe, t);
                     let Some(card) = fleet.pick_sbe_card(sim_rng) else {
                         continue;
                     };
@@ -1095,30 +1018,15 @@ impl EngineState {
                     };
                     if sim_rng.gen::<f64>() >= accept_p {
                         out.truth.sbe_rejected += 1;
-                        obs.reg.inc(cat.engine.sbe_thinned);
-                        obs.stream.mint(
-                            TraceKind::EngineEvent,
-                            trace,
-                            t,
-                            Some(u64::from(card)),
-                            Some(u64::from(node.0)),
-                            None,
-                            || format!("sbe {structure:?} thinned"),
-                        );
+                        obs.sbe_thinned(trace, t, u64::from(card), u64::from(node.0), || {
+                            format!("sbe {structure:?} thinned")
+                        });
                         continue;
                     }
-                    obs.reg.inc(cat.engine.sbe_accepted);
-                    obs.ts.inc(TsSeries::SbeAccepted, t);
-                    let ev_id = obs.stream.mint(
-                        TraceKind::EngineEvent,
-                        trace,
-                        t,
-                        Some(u64::from(card)),
-                        Some(u64::from(node.0)),
-                        None,
-                        || format!("sbe {structure:?}"),
-                    );
-                    obs.health.on_sbe(u64::from(card), t, ev_id);
+                    let ev_id =
+                        obs.sbe_accepted(trace, t, u64::from(card), u64::from(node.0), || {
+                            format!("sbe {structure:?}")
+                        });
                     let page = hot_page.map(PageAddress);
                     let retirement_active = t >= calibration::retirement_xid_introduced();
                     let decision =
@@ -1148,14 +1056,13 @@ impl EngineState {
                     job_wide,
                     trace,
                 } => {
-                    obs.reg.inc(cat.engine.ev_soft);
                     if job_wide {
                         // Strike a running job, debug runs 8x as likely.
                         let Some(&j) =
                             weighted_job_pick(&jobs.active, schedule, sim_rng, weight_scratch)
                         else {
                             out.truth.software_skipped += 1;
-                            obs.reg.inc(cat.engine.soft_no_target);
+                            obs.soft_no_target();
                             continue;
                         };
                         let Some(job) = schedule.jobs.get(j as usize) else {
@@ -1165,8 +1072,7 @@ impl EngineState {
                             continue;
                         };
                         let apid = Some(job.spec.apid);
-                        let ev_id = obs.stream.mint(
-                            TraceKind::EngineEvent,
+                        let ev_id = obs.engine_event(
                             trace,
                             t,
                             None,
@@ -1200,9 +1106,7 @@ impl EngineState {
                         }
                         // Cascade consequences land on the first node.
                         let children = cascades.spawn(kind, cascade_rng);
-                        obs.reg.inc(cat.faults.cascade_parents);
-                        obs.reg.add(cat.faults.cascade_children, children.len() as u64);
-                        obs.reg.observe(cat.faults.cascade_fanout, children.len() as u64);
+                        obs.cascade(children.len() as u64);
                         for child in children {
                             // Target draw comes from the cascade stream so
                             // that disabling cascades leaves every other
@@ -1223,7 +1127,6 @@ impl EngineState {
                                 trace: ev_id,
                             });
                             heap.push(Reverse((t + child.delay, 1, seq2)));
-                            obs.prof_heap_push(1);
                         }
                         if kind.crashes_application() {
                             jobs.end(j, t, schedule, fleet, out, obs);
@@ -1241,8 +1144,7 @@ impl EngineState {
                             }
                         };
                         let apid = jobs.apid_at(schedule, node);
-                        let ev_id = obs.stream.mint(
-                            TraceKind::EngineEvent,
+                        let ev_id = obs.engine_event(
                             trace,
                             t,
                             None,
@@ -1265,9 +1167,7 @@ impl EngineState {
                             },
                         );
                         let children = cascades.spawn(kind, cascade_rng);
-                        obs.reg.inc(cat.faults.cascade_parents);
-                        obs.reg.add(cat.faults.cascade_children, children.len() as u64);
-                        obs.reg.observe(cat.faults.cascade_fanout, children.len() as u64);
+                        obs.cascade(children.len() as u64);
                         for child in children {
                             let seq2 = payloads.len() as u64;
                             payloads.push(Ev::Child {
@@ -1277,7 +1177,6 @@ impl EngineState {
                                 trace: ev_id,
                             });
                             heap.push(Reverse((t + child.delay, 1, seq2)));
-                            obs.prof_heap_push(1);
                         }
                         if kind.crashes_application() {
                             if let Some(j) = jobs.job_at(node) {
@@ -1292,9 +1191,7 @@ impl EngineState {
                     apid,
                     trace,
                 } => {
-                    obs.reg.inc(cat.engine.ev_child);
-                    let ev_id = obs.stream.mint(
-                        TraceKind::EngineEvent,
+                    let ev_id = obs.engine_event(
                         trace,
                         t,
                         None,
@@ -1318,13 +1215,11 @@ impl EngineState {
                     );
                 }
                 Ev::RetireRecord { card, trace } => {
-                    obs.reg.inc(cat.engine.ev_retire_record);
                     // The card may have moved to the spare pool meanwhile.
                     if let Some(slot) = fleet.slot_of_card(card) {
                         let node = fleet.node_of_slot(slot);
                         let apid = jobs.apid_at(schedule, node);
-                        let ev_id = obs.stream.mint(
-                            TraceKind::EngineEvent,
+                        let ev_id = obs.engine_event(
                             trace,
                             t,
                             Some(u64::from(card)),
@@ -1349,7 +1244,6 @@ impl EngineState {
                     }
                 }
                 Ev::Swap { slot, card, trace } => {
-                    obs.reg.inc(cat.engine.ev_swap);
                     // The schedule is 24 h stale by now: re-verify before
                     // pulling anything, and clear the pending flag either
                     // way so the card can be re-scheduled later (e.g. when
@@ -1358,40 +1252,12 @@ impl EngineState {
                         *p = false;
                     }
                     if !swap_fire_check(fleet, slot, card) {
-                        obs.reg.inc(cat.engine.swaps_stale);
-                        obs.stream.mint(
-                            TraceKind::EngineEvent,
-                            trace,
-                            t,
-                            Some(u64::from(card)),
-                            None,
-                            None,
-                            || "swap_stale".to_string(),
-                        );
+                        obs.swap_stale(trace, t, u64::from(card));
                         continue;
                     }
                     if let Some((old_card, new_card)) = jobs.swap_out(fleet, slot) {
-                        obs.reg.inc(cat.engine.swaps_fired);
-                        obs.ts.inc(TsSeries::SwapsFired, t);
-                        let sid = obs.stream.mint(
-                            TraceKind::EngineEvent,
-                            trace,
-                            t,
-                            Some(u64::from(old_card)),
-                            None,
-                            None,
-                            || "swap_fired".to_string(),
-                        );
                         // lint: allow(N1, usize to u64 is lossless on 64-bit targets)
-                        obs.health.on_swap(t, fleet.n_spares() as u64, sid);
-                        // Span covers schedule (24 h earlier) to fire.
-                        obs.trace.record(Span {
-                            kind: SpanKind::HotSpareSwap,
-                            start: t.saturating_sub(24 * 3600),
-                            end: t,
-                            key: slot as u64,
-                            extra: old_card as u64,
-                        });
+                        obs.swap_fired(trace, t, u64::from(old_card), fleet.n_spares() as u64);
                         // Hot-spare stress testing: burn the pulled card
                         // in under accelerated load. Its latent DBE
                         // proneness (lemons were usually what crossed the
@@ -1420,9 +1286,7 @@ impl EngineState {
         // totals, so a checkpoint captured here rides a fully-attributed
         // table (capture-time serialization costs are then discarded by
         // the post-capture rebaseline).
-        if obs.prof_enabled() {
-            obs.prof_flush(sim_rng.draws() + cascade_rng.draws() + spare_rng.draws());
-        }
+        obs.slice_end(sim_rng.draws() + cascade_rng.draws() + spare_rng.draws());
     }
 
     /// Closes out the run: ends horizon-straddling jobs, derives the
@@ -1430,17 +1294,18 @@ impl EngineState {
     /// completed [`SimOutput`]. Must only be called once the heap has
     /// been drained with `run_until(SimTime::MAX, ..)`.
     pub fn finalize(mut self, obs: &mut Obs) -> SimOutput {
-        let cat = obs.cat;
         let window = self.cfg.window;
+        obs.finalize(
+            window,
+            self.jobs.active.len() as u64,
+            self.out.console.len() as u64,
+            self.payloads.len() as u64,
+            // lint: allow(N1, COMPUTE_NODES is the constant 18,688)
+            titan_topology::COMPUTE_NODES as u64,
+        );
 
         // End any jobs still running at the horizon.
-        obs.phase("engine:finalize");
-        // Close the health stream at the horizon: flush every remaining
-        // interval boundary plus the final partial interval.
-        obs.health.finish(window);
         let still_active: Vec<u32> = self.jobs.active.clone();
-        obs.reg
-            .add(cat.engine.jobs_closed_at_horizon, still_active.len() as u64);
         for j in still_active {
             self.jobs
                 .end(j, window, &self.schedule, &self.fleet, &mut self.out, obs);
@@ -1470,7 +1335,7 @@ impl EngineState {
                     &mut aprun_rng,
                 ));
             }
-            obs.prof_rng_direct(aprun_rng.draws());
+            obs.setup_draws(aprun_rng.draws());
         }
 
         // Final fleet snapshots (per production slot).
@@ -1481,13 +1346,6 @@ impl EngineState {
                 GpuSnapshot::take(node, self.fleet.card(self.fleet.card_at_slot(slot)), window)
             })
             .collect();
-
-        obs.reg
-            .add(cat.nvsmi.final_snapshots, out.final_snapshots.len() as u64);
-        obs.reg
-            .add(cat.engine.console_lines, out.console.len() as u64);
-        obs.reg
-            .set_max(cat.engine.payload_slots, self.payloads.len() as u64);
 
         out.console.sort_by_key(|e| e.time);
         out.jobs.sort_by_key(|j| j.start);
@@ -1612,37 +1470,13 @@ fn pick_any_job_node(
     nodes.get(rng.gen_range(0..nodes.len())).copied()
 }
 
-/// Pushes a console line, mirroring it into the flight recorder and the
-/// time-bucketed series first. Pure observation: the pushed event is
-/// byte-identical to the untraced path, and the `(time, id)` pair the
-/// stream keeps lets collect-time SEC replay recover the line's id even
-/// after the final stable time-sort of the console log.
+/// Pushes a console line, observed first. Pure observation: the pushed
+/// event is byte-identical to the unobserved path, and the `(time, id)`
+/// pair the flight recorder keeps lets collect-time SEC replay recover
+/// the line's id even after the final stable time-sort of the console
+/// log.
 fn emit_console(out: &mut SimOutput, obs: &mut Obs, parent: u64, card: Option<u64>, ev: ConsoleEvent) {
-    obs.ts.inc(TsSeries::ConsoleLines, ev.time);
-    let cid = obs.stream.mint_console(
-        parent,
-        ev.time,
-        card,
-        Some(u64::from(ev.node.0)),
-        ev.apid,
-        || format!("console {:?}", ev.kind),
-    );
-    if obs.health.is_enabled() {
-        let loc = ev.node.location();
-        obs.health.on_console(HealthEvent {
-            t: ev.time,
-            class: ev.kind.short_name(),
-            hardware: matches!(ev.kind.category(), ErrorCategory::Hardware),
-            row: loc.row,
-            col: loc.col,
-            cage: loc.cage,
-            trace: cid,
-        });
-    }
-    if obs.prof_enabled() {
-        // lint: allow(N1, usize to u64 is lossless on 64-bit targets)
-        obs.prof_console(titan_conlog::rendered_len(&ev) as u64);
-    }
+    obs.console_line(parent, card, &ev);
     out.console.push(ev);
 }
 
@@ -1708,16 +1542,9 @@ fn schedule_retirement(
         RetirementCause::MultipleSingleBitErrors => (true, rng.gen_range(1..120)),
     };
     let emitted = emitted && t + delay < window;
-    let rid = obs.stream.mint(
-        TraceKind::Retirement,
-        parent,
-        t,
-        Some(u64::from(card)),
-        None,
-        None,
-        || format!("retire cause={cause:?} emitted={emitted}"),
-    );
-    obs.health.on_retirement(t, rid);
+    let rid = obs.retirement(parent, t, u64::from(card), || {
+        format!("retire cause={cause:?} emitted={emitted}")
+    });
     out.truth.retirements.push(RetireTruth {
         time: t,
         card,
@@ -1725,23 +1552,13 @@ fn schedule_retirement(
         emitted,
     });
     if emitted {
-        // Fault → SEC-visible record causal chain: the XID 63 line the
-        // SEC will see lands `delay` seconds after the triggering fault.
-        obs.trace.record(Span {
-            kind: SpanKind::FaultChain,
-            start: t,
-            end: t + delay,
-            key: card as u64,
-            extra: match cause {
-                RetirementCause::DoubleBitError => 0,
-                RetirementCause::MultipleSingleBitErrors => 1,
-            },
-        });
+        // The XID 63 line the SEC will see lands `delay` seconds after
+        // the triggering fault.
         // lint: allow(N1, usize to u64 is lossless on 64-bit targets)
         let seq = payloads.len() as u64;
         payloads.push(Ev::RetireRecord { card, trace: rid });
         heap.push(Reverse((t + delay, 1, seq)));
-        obs.prof_heap_push(1);
+        obs.heap_push(1);
     }
 }
 
@@ -2214,7 +2031,7 @@ mod tests {
         let mut obs = Obs::disabled();
         let mut out = SimOutput::default();
         let mut jobs = JobTable::new(1);
-        jobs.start(0, job, &mut obs);
+        jobs.start(0, job);
         during(&mut jobs, &mut fleet);
         jobs.end(0, 1_100, &schedule, &fleet, &mut out, &mut obs);
 
@@ -2375,12 +2192,12 @@ mod tests {
         let mut want = Vec::new();
 
         reference.record_pre(0, read_all(&fleet, a));
-        jobs.start(0, a, &mut obs);
+        jobs.start(0, a);
         jobs.apply_sbe(&mut fleet, 1, MemoryStructure::L2Cache, None, true);
         // The handoff second: B starts, an SBE lands on the shared
         // node, then A ends.
         reference.record_pre(1, read_all(&fleet, b));
-        jobs.start(1, b, &mut obs);
+        jobs.start(1, b);
         jobs.apply_sbe(&mut fleet, 2, MemoryStructure::L2Cache, None, true);
         want.extend(reference.complete(0, &read_all(&fleet, a)));
         jobs.end(0, 1_100, &schedule, &fleet, &mut out, &mut obs);

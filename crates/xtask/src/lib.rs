@@ -33,7 +33,7 @@
 //!   dependency edges must match the DAG in [`layering::LAYERS`]
 //!   (engine crates never depend on the runner/CLI or on each other
 //!   outside the declared order; no rayon in engine manifests).
-//! - **S1** — frozen output schemas (`titan-obs/2`, `titan-check/1`,
+//! - **S1** — frozen output schemas (`titan-obs/3`, `titan-check/1`,
 //!   `titan-obs-replicate/1`) must match their golden specs in
 //!   `crates/xtask/schemas/` (version literal present, top-level field
 //!   list identical and in order; new version literals need new specs).

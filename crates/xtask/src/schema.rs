@@ -1,6 +1,6 @@
 //! Rule **S1** — frozen output-schema drift guard.
 //!
-//! Several JSON document schemas are public contracts: `titan-obs/2`
+//! Several JSON document schemas are public contracts: `titan-obs/3`
 //! (metrics documents), `titan-check/1` (per-check verdicts),
 //! `titan-obs-replicate/1` (replication bands), `titan-trace/1`
 //! (flight-recorder records), and `titan-prof/2` (cost-ledger profile

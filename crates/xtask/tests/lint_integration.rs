@@ -463,7 +463,7 @@ fn real_tree_layering_and_schemas_are_clean() {
             "titan-ckpt/1",
             "titan-health/1",
             "titan-obs-replicate/1",
-            "titan-obs/2",
+            "titan-obs/3",
             "titan-prof/2",
             "titan-trace/1",
         ],

@@ -151,7 +151,7 @@ const USAGE: &str = "usage: titan-repro <command> [options]
 commands:
   taxonomy                          print Tables 1 & 2 (the XID taxonomy)
   run   [--days N] [--seed S] [--metrics FILE] [--trace FILE] [--health FILE]
-        [--prof FILE] [--span-capacity N]
+        [--prof FILE]
         [--checkpoint-every SECS --ckpt-dir DIR] [--from-checkpoint FILE]
                                     simulate and print the full report;
                                     --metrics writes the sim-time telemetry
@@ -171,7 +171,6 @@ commands:
                                     same --metrics/--trace/--health/--prof flags
                                     as the original)
   check [--days N] [--seed S] [--metrics FILE] [--json FILE] [--health FILE]
-        [--span-capacity N]
                                     run the paper-shape checks; exit 1 on FAIL;
                                     --json writes per-check verdicts as JSON
   logs  [--days N] [--seed S] --out DIR
@@ -189,7 +188,7 @@ commands:
                                     per seed; --health writes
                                     DIR/health-seed-<seed>.jsonl per seed
   profile [--days N] [--seed S] [--metrics FILE] [--json FILE] [--health FILE]
-          [--flamegraph FILE] [--perfetto FILE] [--span-capacity N]
+          [--flamegraph FILE] [--perfetto FILE]
                                     run one window with the titan-prof/2 cost
                                     ledger armed and print the deterministic
                                     per-scope cost table plus a quarantined
@@ -238,7 +237,6 @@ struct Opts {
     prof: Option<String>,
     flamegraph: Option<String>,
     perfetto: Option<String>,
-    span_capacity: Option<usize>,
     checkpoint_every: Option<u64>,
     ckpt_dir: Option<String>,
     from_checkpoint: Option<String>,
@@ -268,7 +266,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         prof: None,
         flamegraph: None,
         perfetto: None,
-        span_capacity: None,
         checkpoint_every: None,
         ckpt_dir: None,
         from_checkpoint: None,
@@ -314,16 +311,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--perfetto" => {
                 opts.perfetto = Some(it.next().ok_or("--perfetto needs a file")?.clone());
-            }
-            "--span-capacity" => {
-                let v = it.next().ok_or("--span-capacity needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--span-capacity: `{v}` is not a positive integer"))?;
-                if n == 0 {
-                    return Err("--span-capacity must be at least 1".into());
-                }
-                opts.span_capacity = Some(n);
             }
             "--checkpoint-every" => {
                 let v = it.next().ok_or("--checkpoint-every needs sim seconds")?;
@@ -404,10 +391,7 @@ fn run_study(
 
 /// Builds the CLI's observability sink from the common options.
 fn build_obs(opts: &Opts, metrics_on: bool) -> Obs {
-    let mut obs = match opts.span_capacity {
-        Some(cap) => Obs::with_span_capacity(metrics_on, cap),
-        None => Obs::new(metrics_on),
-    };
+    let mut obs = Obs::new(metrics_on);
     if opts.trace.is_some() {
         obs.enable_trace();
     }
@@ -551,37 +535,25 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         let ck = titan_runner::parse_checkpoint(&text)?;
-        // Health state rides the ObsSnapshot: a flag mismatch cannot be
-        // papered over (the resumed doc would silently restart from an
-        // empty sink), so reject it up front instead of diverging.
-        if ck.obs.health_enabled() != opts.health.is_some() {
-            return Err(if opts.health.is_some() {
-                format!(
-                    "--from-checkpoint {path}: the checkpoint was written without --health; \
-                     resume with the same flags as the original run"
-                )
-            } else {
-                format!(
-                    "--from-checkpoint {path}: the checkpoint was written with --health; \
-                     pass --health FILE to resume it"
-                )
-            });
-        }
-        // The cost ledger rides the same snapshot; a `--prof` mismatch
-        // would silently restart the scope table from zero, so reject it
-        // up front exactly like the health flag.
-        if ck.obs.prof_enabled() != opts.prof.is_some() {
-            return Err(if opts.prof.is_some() {
-                format!(
-                    "--from-checkpoint {path}: the checkpoint was written without --prof; \
-                     resume with the same flags as the original run"
-                )
-            } else {
-                format!(
-                    "--from-checkpoint {path}: the checkpoint was written with --prof; \
-                     pass --prof FILE to resume it"
-                )
-            });
+        // Every observer's state rides the checkpoint: a sink switched on
+        // only at resume would start from zero, and one switched off
+        // would drop what was captured, so any flag mismatch is refused
+        // up front instead of diverging. `--prof` embeds the metrics
+        // document, so it switches metrics on too; it is checked first
+        // so the error names the flag that was actually given.
+        let sinks = [
+            ("--prof", ck.obs.prof_enabled(), opts.prof.is_some()),
+            ("--health", ck.obs.health_enabled(), opts.health.is_some()),
+            ("--metrics", ck.metrics_enabled, opts.metrics.is_some() || opts.prof.is_some()),
+            ("--trace", ck.trace_enabled, opts.trace.is_some()),
+        ];
+        if let Some((flag, was_on, _)) = sinks.iter().find(|(_, was_on, on)| was_on != on) {
+            return Err(format!(
+                "--from-checkpoint {path}: the checkpoint was written {} {flag}; \
+                 resume with the same --metrics/--trace/--health/--prof flags as the \
+                 original run",
+                if *was_on { "with" } else { "without" }
+            ));
         }
         let seed = ck.seed;
         let window = ck.config.sim.window;
@@ -1046,17 +1018,6 @@ fn profile(args: &[String]) -> Result<ExitCode, String> {
     for (name, h) in &doc.histograms {
         println!("    {name:<38} count {:>8}  sum {:>10}", h.count, h.sum);
     }
-    println!("  [spans]");
-    for (kind, count) in &doc.spans.by_kind {
-        println!("    {kind:<38} {count:>12}");
-    }
-    println!(
-        "    {:<38} {:>12}  (ring keeps {}, dropped {})",
-        "recorded",
-        doc.spans.recorded,
-        doc.spans.recent.len(),
-        doc.spans.dropped
-    );
     let fails = evals.iter().filter(|e| e.verdict == Verdict::Fail).count();
     println!("  [health]");
     let hdoc = titan_obs::parse_health(&health_text)?;

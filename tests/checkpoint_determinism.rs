@@ -3,7 +3,7 @@
 //!
 //! 1. `run --from-checkpoint` at boundary T reproduces a run that
 //!    passed straight through T **byte for byte** — console report on
-//!    stdout, `titan-obs/2` metrics document, and `titan-trace/1`
+//!    stdout, `titan-obs/3` metrics document, and `titan-trace/1`
 //!    flight recording — at `TITAN_NUM_THREADS` 1 and 8;
 //! 2. a corrupted checkpoint (one flipped byte) fails chained-digest
 //!    verification with a clean error, never a panic;
@@ -378,7 +378,7 @@ fn bisect_localizes_injected_divergence() {
     assert!(text.contains("no divergence"), "self-comparison diverged:\n{text}");
 }
 
-/// Telemetry accounting across the resume boundary: every `titan-obs/2`
+/// Telemetry accounting across the resume boundary: every `titan-obs/3`
 /// time series is an exact bucketization of its run-end counter, even
 /// when the run was split by `--from-checkpoint` — the restored
 /// `TimeBuckets` carry the pre-boundary mass, and the resumed half
@@ -411,7 +411,7 @@ fn timeseries_sums_match_counters_across_resume() {
     for dir in [&through, &resumed] {
         let text = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics doc");
         let doc: titan_obs::MetricsDoc =
-            serde_json::from_str(&text).expect("titan-obs/2 metrics parse");
+            serde_json::from_str(&text).expect("titan-obs/3 metrics parse");
         assert!(!doc.timeseries.series.is_empty(), "no time series in {}", dir.display());
         for (name, buckets) in &doc.timeseries.series {
             let sum: u64 = buckets.iter().sum();
@@ -435,4 +435,47 @@ fn timeseries_sums_match_counters_across_resume() {
     let x = std::fs::read(through.join("metrics.json")).expect("through metrics");
     let y = std::fs::read(resumed.join("metrics.json")).expect("resumed metrics");
     assert_eq!(x, y, "metrics diverged across the resume boundary");
+}
+
+/// Resume refuses a `--metrics` or `--trace` flag set that differs from
+/// the one the checkpoint was written with, in both directions: a sink
+/// switched on at resume would count only the second half of the run,
+/// and one switched off would drop what the checkpoint captured.
+#[test]
+fn resume_rejects_metrics_and_trace_flag_mismatch() {
+    let dir = tmp("observer_flag_mismatch");
+    for (ckpt_dir, flags) in [
+        ("plain", vec![]),
+        ("observed", vec!["--metrics", "m.json", "--trace", "t.jsonl"]),
+    ] {
+        let mut args = vec![
+            "run", "--days", "20", "--seed", "5", "--checkpoint-every", "864000", // 10 d
+            "--ckpt-dir", ckpt_dir,
+        ];
+        args.extend(flags);
+        run_in(&dir, "1", &args);
+    }
+    let cases = [
+        ("plain", vec!["--metrics", "m2.json"], "written without --metrics"),
+        ("plain", vec!["--trace", "t2.jsonl"], "written without --trace"),
+        ("observed", vec!["--trace", "t2.jsonl"], "written with --metrics"),
+        ("observed", vec!["--metrics", "m2.json"], "written with --trace"),
+    ];
+    for (ckpt_dir, extra, needle) in cases {
+        let ckpt = dir.join(ckpt_dir).join("ckpt-000000.json");
+        let mut args = vec!["run", "--from-checkpoint", ckpt.to_str().expect("utf8 path")];
+        args.extend(&extra);
+        let out = Command::new(bin())
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn titan-repro");
+        assert!(!out.status.success(), "resume of {ckpt_dir} with {extra:?} succeeded");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(needle),
+            "resume of {ckpt_dir} with {extra:?}: missing `{needle}`:\n{err}"
+        );
+        assert!(!err.contains("panicked"), "mismatch panicked:\n{err}");
+    }
 }

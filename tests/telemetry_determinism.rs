@@ -65,10 +65,11 @@ fn replicate_metrics_json_identical_at_threads_1_vs_8() {
     assert_eq!(a, b, "metrics JSON differs between --threads 1 and --threads 8");
     let text = String::from_utf8(a).expect("utf8 metrics");
     assert!(text.contains("\"titan-obs-replicate/1\""), "replicate schema tag");
-    assert!(text.contains("\"titan-obs/2\""), "per-seed schema tag");
-    for section in ["\"engine\"", "\"faults\"", "\"sec\"", "\"nvsmi\"", "\"spans\""] {
+    assert!(text.contains("\"titan-obs/3\""), "per-seed schema tag");
+    for section in ["\"engine\"", "\"faults\"", "\"sec\"", "\"nvsmi\"", "\"timeseries\""] {
         assert!(text.contains(section), "metrics doc missing {section} section");
     }
+    assert!(!text.contains("\"spans\""), "titan-obs/3 has no spans section");
 }
 
 /// Satellite guarantee: a metrics-enabled run produces the same sim
@@ -101,9 +102,9 @@ fn metrics_flag_never_changes_the_report() {
         "--metrics changed the simulation report"
     );
     let doc = std::fs::read_to_string(&path).expect("metrics file");
-    assert!(doc.contains("\"schema\": \"titan-obs/2\""));
+    assert!(doc.contains("\"schema\": \"titan-obs/3\""));
     assert!(doc.contains("\"events_dequeued\""));
-    assert!(doc.contains("\"timeseries\""), "titan-obs/2 doc missing timeseries section");
+    assert!(doc.contains("\"timeseries\""), "titan-obs/3 doc missing timeseries section");
 }
 
 /// `check --json` writes machine-readable per-check verdicts with the
@@ -159,7 +160,7 @@ fn profile_prints_phases_and_matches_run_metrics() {
         "sim-time telemetry",
         "[engine]",
         "[histograms]",
-        "[spans]",
+        "[health]",
     ] {
         assert!(stdout.contains(marker), "profile output missing `{marker}`");
     }
@@ -290,30 +291,101 @@ fn profile_json_writes_titan_profile_doc() {
     ] {
         assert!(doc.contains(field), "profile doc missing {field}");
     }
-    // The embedded metrics document is the titan-obs/2 shape, and the
+    // The embedded metrics document is the titan-obs/3 shape, and the
     // non-deterministic wall section is the last top-level key.
-    assert!(doc.contains("\"titan-obs/2\""), "embedded metrics schema tag");
+    assert!(doc.contains("\"titan-obs/3\""), "embedded metrics schema tag");
     let wall_pos = doc.rfind("\"wall\"").expect("wall key");
     let metrics_pos = doc.find("\"metrics\"").expect("metrics key");
     assert!(wall_pos > metrics_pos, "wall section is not last");
 }
 
-/// Satellite guarantee: `--span-capacity` resizes the recent-span ring
-/// and the chosen capacity is recorded in the metrics document.
+/// The span ring of `titan-obs/2` held nothing the other outputs lack:
+/// on a window where every kind is non-zero, each of its per-kind
+/// totals is still readable from a counter, and each counter matches
+/// the independent record it counts — the job log, the flight
+/// recorder's DBE/OTB events, fired swaps and emitted retirements.
 #[test]
-fn span_capacity_flag_is_recorded_in_metrics() {
-    let path = tmp("span_cap.json");
+fn span_ring_totals_live_on_in_counters_and_records() {
+    // 225 days of seed 11 reach the first emitted retirement (day ~221)
+    // and both hot-spare swaps.
+    let args = ["--days", "225", "--seed", "11"];
+    let metrics = tmp("ring_metrics.json");
+    let trace = tmp("ring_trace.jsonl");
+    let logs = tmp("ring_logs");
+    let mut run = vec!["run"];
+    run.extend(args);
+    run.extend(["--metrics", metrics.to_str().expect("utf8 path")]);
+    run.extend(["--trace", trace.to_str().expect("utf8 path")]);
+    run_ok(&run);
+    let mut logs_cmd = vec!["logs"];
+    logs_cmd.extend(args);
+    logs_cmd.extend(["--out", logs.to_str().expect("utf8 path")]);
+    run_ok(&logs_cmd);
+
+    let doc: titan_obs::MetricsDoc =
+        serde_json::from_str(&std::fs::read_to_string(&metrics).expect("metrics file"))
+            .expect("metrics parse");
+    let counter = |name: &str| doc.engine[name];
+    let (_, records) =
+        titan_obs::parse_trace(&std::fs::read_to_string(&trace).expect("trace file"))
+            .expect("trace parse");
+    let count = |pred: &dyn Fn(&str, &str) -> bool| -> u64 {
+        records.iter().filter(|r| pred(&r.kind, &r.payload)).count() as u64
+    };
+    let job_records = std::fs::read_to_string(logs.join("job.log"))
+        .expect("job log")
+        .lines()
+        .count() as u64;
+
+    // (span kind, counter total, independent record count)
+    let checks = [
+        ("job_lifecycle", counter("ev_job_start"), job_records),
+        (
+            "repair_reboot",
+            counter("ev_dbe") + counter("ev_otb"),
+            count(&|k, p| k == "engine_event" && (p.starts_with("dbe ") || p == "otb")),
+        ),
+        (
+            "hot_spare_swap",
+            counter("swaps_fired"),
+            count(&|k, p| k == "engine_event" && p == "swap_fired"),
+        ),
+        (
+            "fault_chain",
+            counter("ev_retire_record"),
+            count(&|k, p| k == "retirement" && p.ends_with("emitted=true")),
+        ),
+    ];
+    for (kind, total, independent) in checks {
+        assert!(total > 0, "{kind}: the window must exercise it");
+        assert_eq!(total, independent, "{kind}: counter and records disagree");
+    }
+}
+
+/// The metrics timeseries and the health intervals step on one grid:
+/// for the same run, bucket *k* of one is interval *k* of the other.
+#[test]
+fn timeseries_and_health_share_one_grid() {
+    let metrics = tmp("grid_metrics.json");
+    let health = tmp("grid_health.jsonl");
     run_ok(&[
         "run",
         "--days",
-        "6",
+        "60",
         "--seed",
-        "7",
-        "--span-capacity",
-        "8",
+        "4",
         "--metrics",
-        path.to_str().expect("utf8 path"),
+        metrics.to_str().expect("utf8 path"),
+        "--health",
+        health.to_str().expect("utf8 path"),
     ]);
-    let doc = std::fs::read_to_string(&path).expect("metrics file");
-    assert!(doc.contains("\"capacity\": 8"), "span ring capacity not recorded:\n{doc}");
+    let doc: titan_obs::MetricsDoc =
+        serde_json::from_str(&std::fs::read_to_string(&metrics).expect("metrics file"))
+            .expect("metrics parse");
+    let hdoc = titan_obs::parse_health(&std::fs::read_to_string(&health).expect("health file"))
+        .expect("health parse");
+    assert_eq!(doc.timeseries.bucket_secs, hdoc.header.interval_secs);
+    assert_eq!(doc.timeseries.buckets, hdoc.header.intervals);
+    // 60 days on the weekly grid: 604,800 s steps, 9 of them (ceil).
+    assert_eq!((doc.timeseries.bucket_secs, doc.timeseries.buckets), (604_800, 9));
 }
